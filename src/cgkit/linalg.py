@@ -36,8 +36,9 @@ __all__ = [
     "DENSIFY_CAP",
 ]
 
-# Direct factorizations (validation, oracle solves) densify sparse storage
-# up to this order; beyond it spd_validate falls back to randomized probing.
+# Dense factorizations (validation, the Cholesky oracle, the condition
+# estimate) densify sparse storage up to this order; beyond it spd_validate
+# falls back to randomized probing.  The oracle solves CSR storage sparsely.
 DENSIFY_CAP = 2000
 
 SYMMETRY_RTOL = 1e-12
@@ -149,11 +150,11 @@ class MatrixSPD:
         """Densified copy (read-only for dense storage, fresh for CSR)."""
         if self.storage == "dense":
             return self._dense
-        out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            lo, hi = self._indptr[i], self._indptr[i + 1]
-            out[i, self._indices[lo:hi]] = self._data[lo:hi]
-        return out
+        return self._scipy_csr().toarray()
+
+    def _scipy_csr(self) -> _sparse.csr_matrix:
+        return _sparse.csr_matrix((self._data, self._indices, self._indptr),
+                                  shape=self.shape)
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -163,6 +164,17 @@ class MatrixSPD:
         if self.storage == "dense":
             return kernels.dense_matvec(self._dense, x)
         return kernels.csr_matvec(self._indptr, self._indices, self._data, x)
+
+    def matmat(self, block) -> np.ndarray:
+        """Product ``A X`` for an (n, m) block: BLAS for dense storage, SciPy's
+        CSR kernel for sparse storage."""
+        block = np.asarray(block, dtype=np.float64)
+        if block.ndim != 2 or block.shape[0] != self.n:
+            raise DimensionError(
+                f"operand has shape {block.shape}, expected ({self.n}, m)")
+        if self.storage == "dense":
+            return self._dense @ block
+        return self._scipy_csr() @ block
 
     def max_abs(self) -> float:
         if self.storage == "dense":
@@ -375,23 +387,26 @@ def _nonzero_sign(d: np.ndarray) -> np.ndarray:
 
 
 def solve_direct(a, rhs, *, densify_cap: int = DENSIFY_CAP) -> np.ndarray:
-    """Solve ``A x = rhs`` by dense Cholesky factorization.
+    """Solve ``A x = rhs`` by a direct factorization.
 
-    This is the oracle route, independent of the iterative solver: the
-    matrix is densified regardless of storage (orders up to
-    ``densify_cap``) and factored directly.
+    This is the oracle route, independent of the iterative solver.  CSR
+    storage is factored by SciPy's sparse LU (SuperLU) at any order, without
+    densifying; a singular matrix raises :class:`NotPositiveDefiniteError`.
+    Dense storage (orders up to ``densify_cap``) is factored by Cholesky,
+    whose failure on a non-positive pivot raises the same error.
     """
     if isinstance(a, MatrixSPD):
-        n = a.n
+        if a.storage == "csr":
+            return _solve_sparse(a, as_vector(rhs, a.n, name="right-hand side"))
         dense = a.to_dense()
     else:
         dense = np.asarray(a, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {dense.shape}")
-        n = dense.shape[0]
+    n = dense.shape[0]
     if n > densify_cap:
         raise CgKitError(
-            f"direct solve densifies the matrix; order {n} exceeds cap {densify_cap}")
+            f"dense direct solve of order {n} exceeds cap {densify_cap}")
     rhs = as_vector(rhs, n, name="right-hand side")
     try:
         factor = cho_factor(dense)
@@ -399,3 +414,14 @@ def solve_direct(a, rhs, *, densify_cap: int = DENSIFY_CAP) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"Cholesky factorization failed: {err}") from err
     return cho_solve(factor, rhs)
+
+
+def _solve_sparse(a: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
+    from scipy.sparse.linalg import splu  # costly import, needed only here
+
+    try:
+        lu = splu(a._scipy_csr().tocsc())
+    except RuntimeError as err:  # SuperLU reports an exactly singular factor
+        raise NotPositiveDefiniteError(
+            f"sparse LU factorization failed: {err}") from err
+    return lu.solve(rhs)

@@ -21,7 +21,7 @@ import scipy.sparse as _sparse
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import CgKitError, MatrixMarketError, ProblemSpecError
 from .linalg import MatrixSPD, SpectrumSpec, as_vector, generate_spd
-from .verify import CheckResult, IdentityResidual, VerificationReport
+from .verify import CheckResult, VerificationReport
 
 __all__ = [
     "BuiltinProblemSpec",
@@ -363,14 +363,11 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
         raise ValueError(f"unknown MatrixMarket format {fmt!r}")
     with _open_text(target, "w") as stream:
         if fmt == "coordinate":
-            dense = a.to_dense()
-            ii, jj = np.nonzero(dense)
-            keep = ii >= jj  # lower triangle, symmetric storage
-            ii, jj = ii[keep], jj[keep]
+            ii, jj, values = _lower_triangle(a)
             stream.write("%%MatrixMarket matrix coordinate real symmetric\n")
             stream.write(f"{a.n} {a.n} {ii.size}\n")
-            for i, j in zip(ii, jj):
-                stream.write(f"{i + 1} {j + 1} {_FMT % dense[i, j]}\n")
+            for i, j, v in zip(ii.tolist(), jj.tolist(), values.tolist()):
+                stream.write(f"{i + 1} {j + 1} {_FMT % v}\n")
         else:
             dense = a.to_dense()
             stream.write("%%MatrixMarket matrix array real general\n")
@@ -378,6 +375,23 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
             for j in range(a.n):
                 for i in range(a.n):
                     stream.write(f"{_FMT % dense[i, j]}\n")
+
+
+def _lower_triangle(a: MatrixSPD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzero entries with i >= j in row-major order: (rows, columns, values).
+
+    CSR storage is read as stored (column indices sorted within each row),
+    never densified.
+    """
+    if a.storage == "dense":
+        dense = a.to_dense()
+        rows, cols = np.nonzero(dense)
+        values = dense[rows, cols]
+    else:
+        indptr, cols, values = a.csr_arrays
+        rows = np.repeat(np.arange(a.n), np.diff(indptr))
+    keep = (cols <= rows) & (values != 0.0)
+    return rows[keep], cols[keep], values[keep]
 
 
 def write_vector_file(v, target) -> None:
@@ -542,8 +556,13 @@ def read_trace(source) -> TraceDocument:
 
 
 def report_to_dict(report: VerificationReport, *,
-                   include_residuals: bool = True) -> dict[str, Any]:
-    """JSON-ready form of a verification report."""
+                   include_residuals: bool = False) -> dict[str, Any]:
+    """JSON-ready form of a verification report.
+
+    Each check is written as its summary (verdict, worst residual and where
+    it occurred, instance and failure counts); ``include_residuals=True``
+    adds every evaluated instance.
+    """
     checks = []
     for c in report.checks:
         entry: dict[str, Any] = {
@@ -551,7 +570,9 @@ def report_to_dict(report: VerificationReport, *,
             "tolerance": c.tolerance,
             "worst": c.worst,
             "passed": c.passed,
-            "residual_count": len(c.residuals),
+            "residual_count": c.count,
+            "failures": c.failures,
+            "worst_at": list(c.worst_at),
         }
         if c.note:
             entry["note"] = c.note
@@ -574,17 +595,32 @@ def report_to_dict(report: VerificationReport, *,
 
 
 def report_from_dict(data: dict[str, Any]) -> VerificationReport:
-    """Inverse of :func:`report_to_dict` (residual lists required)."""
+    """Inverse of :func:`report_to_dict`.
+
+    The instance arrays of each check are filled when the document lists
+    its residuals and left empty otherwise.
+    """
     checks = []
     for entry in data["checks"]:
-        residuals = tuple(
-            IdentityResidual(identity=r["identity"], indices=tuple(r["indices"]),
-                             raw=r["raw"], normalized=r["normalized"],
-                             passed=r["passed"])
-            for r in entry.get("residuals", []))
+        instances: dict[str, Any] = {}
+        items = entry.get("residuals")
+        if items:
+            names = tuple(r["identity"] for r in items)
+            instances = {
+                "raw": np.array([r["raw"] for r in items], dtype=np.float64),
+                "normalized": np.array([r["normalized"] for r in items],
+                                       dtype=np.float64),
+                "indices": np.array([r["indices"] for r in items],
+                                    dtype=np.intp).reshape(len(items), -1),
+                "passes": np.array([r["passed"] for r in items], dtype=bool),
+                "identities": names if set(names) - {entry["check"]} else (),
+            }
         checks.append(CheckResult(check=entry["check"], tolerance=entry["tolerance"],
                                   worst=entry["worst"], passed=entry["passed"],
-                                  residuals=residuals, note=entry.get("note", "")))
+                                  count=entry["residual_count"],
+                                  failures=entry["failures"],
+                                  worst_at=tuple(entry["worst_at"]),
+                                  note=entry.get("note", ""), **instances))
     return VerificationReport(
         checks=tuple(checks), passed=data["passed"],
         tolerance_relaxed=data.get("tolerance_relaxed", False),

@@ -15,16 +15,23 @@ degrades the far-pair identities as a run approaches full Krylov depth
 engineering choice for well-conditioned problems and is relaxed - and
 flagged as relaxed - above condition 1e4, where the checks measure the
 degradation rather than certify exactness.
+
+The checks are linear algebra on the recorded vectors stacked as rows of
+(K, n) arrays G, D and AD: each pairwise family is one K x K Gram product
+(D ADᵀ, G Dᵀ, G Gᵀ and G (AG)ᵀ, with AG one block product by A), and the
+per-iteration families are row-wise dot products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .cg import (
+    EPS_DENOMINATOR,
     IterationTrace,
     QuadraticProblem,
     TerminationReason,
@@ -33,7 +40,7 @@ from .cg import (
     stepsize_orthogonal,
 )
 from .errors import BreakdownError, IncompleteTraceError
-from .linalg import DENSIFY_CAP, MatrixSPD, dot, solve_direct
+from .linalg import DENSIFY_CAP, MatrixSPD
 
 __all__ = [
     "IdentityResidual",
@@ -58,6 +65,17 @@ STEPSIZE_TOLERANCE = 1e-12
 SOLUTION_TOLERANCE = 1e-10
 
 _FLOOR = np.finfo(np.float64).tiny
+_BETA_RULES = ("fr", "hs", "prp", "dy")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+_NO_VALUES = _frozen(np.empty(0))
+_NO_INDICES = _frozen(np.empty((0, 0), dtype=np.intp))
+_NO_VERDICTS = _frozen(np.empty(0, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -78,14 +96,48 @@ class IdentityResidual:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """All residuals of one identity family plus the verdict."""
+    """Verdict and summary of one identity family, with its instances as arrays.
+
+    ``count`` instances were evaluated and ``failures`` of them missed the
+    tolerance; ``worst`` is the largest ``|normalized|`` residual and
+    ``worst_at`` the iteration indices of that instance (the first one on a
+    tie; ``()`` when there are no instances).
+
+    The instance arrays are ``normalized``, ``raw``, ``indices`` (one row of
+    iteration indices per instance) and ``passes`` (each instance's
+    verdict); ``identities`` names each instance when the family mixes
+    identities and is empty when ``check`` names them all.  They take no
+    part in equality, so a report read back from a summary-only document
+    equals the report it was written from; in such a report they are empty.
+    """
 
     check: str
     tolerance: float
     worst: float
     passed: bool
-    residuals: tuple[IdentityResidual, ...]
+    count: int = 0
+    failures: int = 0
+    worst_at: tuple[int, ...] = ()
     note: str = ""
+    normalized: np.ndarray = field(default_factory=lambda: _NO_VALUES,
+                                   compare=False, repr=False)
+    raw: np.ndarray = field(default_factory=lambda: _NO_VALUES,
+                            compare=False, repr=False)
+    indices: np.ndarray = field(default_factory=lambda: _NO_INDICES,
+                                compare=False, repr=False)
+    passes: np.ndarray = field(default_factory=lambda: _NO_VERDICTS,
+                               compare=False, repr=False)
+    identities: tuple[str, ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def residuals(self) -> tuple[IdentityResidual, ...]:
+        """Every instance as an :class:`IdentityResidual`, built on demand."""
+        names = self.identities or (self.check,) * self.normalized.size
+        return tuple(
+            IdentityResidual(name, tuple(idx), raw, norm, ok)
+            for name, idx, raw, norm, ok in zip(
+                names, self.indices.tolist(), self.raw.tolist(),
+                self.normalized.tolist(), self.passes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -114,27 +166,13 @@ class VerificationReport:
                 return c
         raise KeyError(f"no check named {name!r}")
 
-    @staticmethod
-    def merge(*reports: "VerificationReport") -> "VerificationReport":
-        checks = tuple(c for r in reports for c in r.checks)
-        notes = tuple(dict.fromkeys(n for r in reports for n in r.notes))
-        cond = max((r.condition_estimate for r in reports
-                    if r.condition_estimate is not None), default=None)
-        return VerificationReport(
-            checks=checks,
-            passed=all(c.passed for c in checks),
-            tolerance_relaxed=any(r.tolerance_relaxed for r in reports),
-            condition_estimate=cond,
-            notes=notes,
-        )
-
     def summary(self) -> str:
         lines = []
         for c in self.checks:
             verdict = "PASS" if c.passed else "FAIL"
             line = (f"[{verdict}] {c.check}: worst normalized residual "
                     f"{c.worst:.3e} (tolerance {c.tolerance:.0e}, "
-                    f"{len(c.residuals)} residuals)")
+                    f"{c.count} residuals)")
             if c.note:
                 line += f" - {c.note}"
             lines.append(line)
@@ -178,31 +216,167 @@ def _tolerance_schedule(a, tolerance: float | None) -> tuple[float, bool, float 
     return DEFAULT_CHECK_TOLERANCE, False, cond, ()
 
 
-def _normalized(raw: float, scale: float) -> float:
-    return raw / max(scale, _FLOOR)
+def _normalized(raw: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    return raw / np.maximum(scale, _FLOOR)
 
 
-def _result(check: str, tolerance: float,
-            residuals: list[IdentityResidual], note: str = "") -> CheckResult:
-    worst = max((abs(r.normalized) for r in residuals), default=0.0)
-    passed = all(r.passed for r in residuals)
+def _result(check: str, tolerance: float, raw: np.ndarray, normalized: np.ndarray,
+            indices: np.ndarray, *, passes: np.ndarray | None = None,
+            note: str = "", identities: tuple[str, ...] = ()) -> CheckResult:
+    """Summarize one family's instance arrays into a :class:`CheckResult`.
+
+    ``passes`` defaults to ``|normalized| <= tolerance`` (a NaN fails).
+    """
+    magnitude = np.abs(normalized)
+    if passes is None:
+        passes = magnitude <= tolerance
+    count = int(normalized.size)
+    worst, worst_at = 0.0, ()
+    if count:
+        at = int(np.argmax(magnitude))  # the first NaN, if there is one
+        worst, worst_at = float(magnitude[at]), tuple(indices[at].tolist())
+    failures = count - int(np.count_nonzero(passes))
     return CheckResult(check=check, tolerance=tolerance, worst=worst,
-                       passed=passed, residuals=tuple(residuals), note=note)
+                       passed=failures == 0, count=count, failures=failures,
+                       worst_at=worst_at, note=note,
+                       normalized=_frozen(normalized), raw=_frozen(raw),
+                       indices=_frozen(indices), passes=_frozen(passes),
+                       identities=identities)
 
 
-def _require_records(trace: IterationTrace, what: str) -> None:
+def _report(checks, relaxed: bool = False, cond: float | None = None,
+            notes: tuple[str, ...] = ()) -> VerificationReport:
+    checks = tuple(checks)
+    return VerificationReport(checks=checks, passed=all(c.passed for c in checks),
+                              tolerance_relaxed=relaxed, condition_estimate=cond,
+                              notes=notes)
+
+
+class _Stacked(NamedTuple):
+    """Record vectors as rows: ``G[k] = g_k``, ``D[k] = d_k``, ``AD[k] = A d_k``."""
+
+    G: np.ndarray
+    D: np.ndarray
+    AD: np.ndarray
+    alpha: np.ndarray
+
+
+def _stack(trace: IterationTrace, what: str) -> _Stacked:
     if not trace.records:
         raise IncompleteTraceError(f"{what} needs at least one recorded iteration")
     for rec in trace.records:
         if rec.d is None or rec.Ad is None or rec.alpha is None:
             raise IncompleteTraceError(
                 f"record {rec.k} lacks the direction or cached A d_k product")
+    recs = trace.records
+    return _Stacked(G=np.array([rec.g for rec in recs]),
+                    D=np.array([rec.d for rec in recs]),
+                    AD=np.array([rec.Ad for rec in recs]),
+                    alpha=np.array([rec.alpha for rec in recs], dtype=np.float64))
 
 
-def _matvec_any(a, v: np.ndarray) -> np.ndarray:
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", u, v)
+
+
+def _matmat_any(a, block: np.ndarray) -> np.ndarray:
     if isinstance(a, MatrixSPD):
-        return a.matvec(v)
-    return np.asarray(a, dtype=np.float64) @ v
+        return a.matmat(block)
+    return np.asarray(a, dtype=np.float64) @ block
+
+
+def _classical(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
+    K = len(s.G)
+    gg = _rowdot(s.G, s.G)
+    gnorm = np.sqrt(gg)
+    dnorm = np.sqrt(_rowdot(s.D, s.D))
+    dAd = _rowdot(s.D, s.AD)
+    i, j = np.tril_indices(K, -1)
+    pairs = np.column_stack((i, j))
+
+    def pairwise(check, gram, scale):
+        raw = gram[i, j]
+        return _result(check, tol, raw, _normalized(raw, scale), pairs)
+
+    descent = _rowdot(s.G, s.D) + gg
+    with np.errstate(invalid="ignore"):  # d.Ad < 0 (not SPD) gives a NaN residual
+        conjugacy_scale = np.sqrt(dAd[i] * dAd[j])
+    return (
+        _result("descent", tol, descent, _normalized(descent, gg),
+                np.arange(K)[:, None]),
+        pairwise("direction_conjugacy", s.D @ s.AD.T, conjugacy_scale),
+        pairwise("gradient_direction_orthogonality", s.G @ s.D.T, gnorm[i] * dnorm[j]),
+        pairwise("gradient_orthogonality", s.G @ s.G.T, gnorm[i] * gnorm[j]),
+    )
+
+
+def _gradient_conjugacy(s: _Stacked, a, tol: float) -> tuple[CheckResult, ...]:
+    K = len(s.G)
+    AG = _matmat_any(a, s.G.T).T
+    anorm = np.sqrt(np.maximum(_rowdot(s.G, AG), 0.0))
+    GAG = s.G @ AG.T  # GAG[p, i] = g_p . A g_i
+    note = "single recorded iteration: no gradient pairs to check" if K == 1 else ""
+    k = np.arange(K - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        adjacent = GAG[k + 1, k] + _rowdot(s.G[1:], s.G[1:]) / s.alpha[:-1]
+    p, q = np.tril_indices(K, -2)
+    far = GAG[p, q]
+    return (
+        _result("gradient_conjugacy_adjacent", tol, adjacent,
+                _normalized(adjacent, anorm[k + 1] * anorm[k]),
+                np.column_stack((k + 1, k)), note=note),
+        _result("gradient_conjugacy_far", tol, far,
+                _normalized(far, anorm[p] * anorm[q]),
+                np.column_stack((p, q)), note=note),
+    )
+
+
+def _stepsize_equivalence(s: _Stacked, tol: float) -> CheckResult:
+    dAd = _rowdot(s.D, s.AD)
+    gAd = _rowdot(s.G, s.AD)
+    broken = (dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_exact = -_rowdot(s.G, s.D) / dAd
+        raw = a_exact - (-_rowdot(s.G, s.G) / gAd)
+        normalized = _normalized(raw, np.abs(a_exact))
+    raw[broken] = normalized[broken] = math.inf
+    notes = []
+    for k in np.flatnonzero(broken).tolist():
+        # the scalar formulas word the breakdown, as the solver reports it
+        try:
+            stepsize_exact(s.G[k], s.D[k], s.AD[k])
+            stepsize_orthogonal(s.G[k], s.AD[k])
+        except BreakdownError as err:
+            notes.append(f"iteration {k}: {err}")
+    return _result("stepsize_equivalence", tol, raw, normalized,
+                   np.arange(len(s.G))[:, None], note="; ".join(notes))
+
+
+def _beta_agreement(s: _Stacked, tol: float) -> CheckResult:
+    K = len(s.G)
+    note = "single recorded iteration: no coupling step to compare" if K == 1 else ""
+    g, g_prev, d_prev = s.G[1:], s.G[:-1], s.D[:-1]
+    y = g - g_prev
+    gg, pp = _rowdot(g, g), _rowdot(g_prev, g_prev)
+    gy, dy = _rowdot(g, y), _rowdot(d_prev, y)
+    broken = (pp <= EPS_DENOMINATOR) | (np.abs(dy) <= EPS_DENOMINATOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.stack([gg / pp, gy / dy, gy / pp, gg / dy])  # FR, HS, PRP, DY
+        peak = np.abs(values).max(axis=0)
+        raw = values.max(axis=0) - values.min(axis=0)
+        normalized = np.where(peak > 0.0, raw / peak, 0.0)
+    raw[broken] = normalized[broken] = math.inf
+    notes = []
+    for k in (np.flatnonzero(broken) + 1).tolist():
+        for rule in _BETA_RULES:
+            try:
+                beta(rule, s.G[k], s.G[k - 1], s.D[k - 1])
+            except BreakdownError as err:
+                notes.append(f"iteration {k}: {err}")
+    if notes:
+        note = (note + "; " if note else "") + "; ".join(notes)
+    return _result("beta_agreement", tol, raw, normalized,
+                   np.arange(1, K)[:, None], note=note)
 
 
 def check_classical_identities(trace: IterationTrace, a,
@@ -218,46 +392,9 @@ def check_classical_identities(trace: IterationTrace, a,
 
     Uses the cached ``A d_k`` products; no extra matrix products are needed.
     """
-    _require_records(trace, "classical-identity check")
+    stacked = _stack(trace, "classical-identity check")
     tol, relaxed, cond, notes = _tolerance_schedule(a, tolerance)
-    recs = trace.records
-    K = len(recs)
-    gnorm = [rec.grad_norm() for rec in recs]
-    dnorm = [float(np.linalg.norm(rec.d)) for rec in recs]
-    dAd = [dot(recs[i].d, recs[i].Ad) for i in range(K)]
-
-    descent: list[IdentityResidual] = []
-    conjugacy: list[IdentityResidual] = []
-    grad_dir: list[IdentityResidual] = []
-    grad_orth: list[IdentityResidual] = []
-    for i in range(K):
-        raw = dot(recs[i].g, recs[i].d) + gnorm[i] ** 2
-        norm = _normalized(raw, gnorm[i] ** 2)
-        descent.append(IdentityResidual("descent", (i,), raw, norm,
-                                        abs(norm) <= tol))
-        for j in range(i):
-            raw = dot(recs[i].d, recs[j].Ad)
-            norm = _normalized(raw, math.sqrt(dAd[i] * dAd[j]))
-            conjugacy.append(IdentityResidual("direction_conjugacy", (i, j),
-                                              raw, norm, abs(norm) <= tol))
-            raw = dot(recs[i].g, recs[j].d)
-            norm = _normalized(raw, gnorm[i] * dnorm[j])
-            grad_dir.append(IdentityResidual("gradient_direction_orthogonality",
-                                             (i, j), raw, norm, abs(norm) <= tol))
-            raw = dot(recs[i].g, recs[j].g)
-            norm = _normalized(raw, gnorm[i] * gnorm[j])
-            grad_orth.append(IdentityResidual("gradient_orthogonality", (i, j),
-                                              raw, norm, abs(norm) <= tol))
-
-    checks = (
-        _result("descent", tol, descent),
-        _result("direction_conjugacy", tol, conjugacy),
-        _result("gradient_direction_orthogonality", tol, grad_dir),
-        _result("gradient_orthogonality", tol, grad_orth),
-    )
-    return VerificationReport(checks=checks, passed=all(c.passed for c in checks),
-                              tolerance_relaxed=relaxed, condition_estimate=cond,
-                              notes=notes)
+    return _report(_classical(stacked, tol), relaxed, cond, notes)
 
 
 def check_gradient_conjugacy(trace: IterationTrace, a,
@@ -267,39 +404,11 @@ def check_gradient_conjugacy(trace: IterationTrace, a,
     Adjacent pairs satisfy ``g_{k+1} . A g_k = -||g_{k+1}||^2 / alpha_k``;
     all farther pairs (i <= k-1) satisfy ``g_{k+1} . A g_i = 0``.  Residuals
     are normalized by the A-norm product of the participating gradients.
-    One product ``A g_k`` is computed and cached per recorded gradient.
+    The products ``A g_k`` of all recorded gradients are one block product.
     """
-    _require_records(trace, "gradient-conjugacy check")
+    stacked = _stack(trace, "gradient-conjugacy check")
     tol, relaxed, cond, notes = _tolerance_schedule(a, tolerance)
-    recs = trace.records
-    K = len(recs)
-    Ag = [_matvec_any(a, rec.g) for rec in recs]
-    anorm = [math.sqrt(max(dot(recs[i].g, Ag[i]), 0.0)) for i in range(K)]
-
-    adjacent: list[IdentityResidual] = []
-    far: list[IdentityResidual] = []
-    note = ""
-    if K == 1:
-        note = "single recorded iteration: no gradient pairs to check"
-    for k in range(K - 1):
-        g_next = recs[k + 1].g
-        raw = dot(g_next, Ag[k]) + dot(g_next, g_next) / recs[k].alpha
-        norm = _normalized(raw, anorm[k + 1] * anorm[k])
-        adjacent.append(IdentityResidual("gradient_conjugacy_adjacent",
-                                         (k + 1, k), raw, norm, abs(norm) <= tol))
-        for i in range(k):
-            raw = dot(g_next, Ag[i])
-            norm = _normalized(raw, anorm[k + 1] * anorm[i])
-            far.append(IdentityResidual("gradient_conjugacy_far", (k + 1, i),
-                                        raw, norm, abs(norm) <= tol))
-
-    checks = (
-        _result("gradient_conjugacy_adjacent", tol, adjacent, note),
-        _result("gradient_conjugacy_far", tol, far, note),
-    )
-    return VerificationReport(checks=checks, passed=all(c.passed for c in checks),
-                              tolerance_relaxed=relaxed, condition_estimate=cond,
-                              notes=notes)
+    return _report(_gradient_conjugacy(stacked, a, tol), relaxed, cond, notes)
 
 
 def check_stepsize_equivalence(trace: IterationTrace,
@@ -310,25 +419,8 @@ def check_stepsize_equivalence(trace: IterationTrace,
     iteration.  A formula breaking down on its recorded vectors is reported
     as an infinite residual for that iteration rather than raising.
     """
-    _require_records(trace, "stepsize-equivalence check")
-    residuals: list[IdentityResidual] = []
-    notes: list[str] = []
-    for rec in trace.records:
-        try:
-            a_exact = stepsize_exact(rec.g, rec.d, rec.Ad)
-            a_orth = stepsize_orthogonal(rec.g, rec.Ad)
-        except BreakdownError as err:
-            notes.append(f"iteration {rec.k}: {err}")
-            residuals.append(IdentityResidual("stepsize_equivalence", (rec.k,),
-                                              math.inf, math.inf, False))
-            continue
-        raw = a_exact - a_orth
-        norm = _normalized(raw, abs(a_exact))
-        residuals.append(IdentityResidual("stepsize_equivalence", (rec.k,),
-                                          raw, norm, abs(norm) <= tolerance))
-    result = _result("stepsize_equivalence", tolerance, residuals,
-                     note="; ".join(notes))
-    return VerificationReport(checks=(result,), passed=result.passed)
+    stacked = _stack(trace, "stepsize-equivalence check")
+    return _report((_stepsize_equivalence(stacked, tolerance),))
 
 
 def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
@@ -337,16 +429,14 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
 
     Asserts the run stopped by gradient tolerance in at most ``n``
     iterations, and that the final iterate matches the minimizer from a
-    dense Cholesky solve of ``A x = -b`` to relative tolerance
-    ``tolerance_x``.
+    direct solve of ``A x = -b`` (dense Cholesky or sparse direct solve,
+    see :func:`~cgkit.linalg.solve_direct`) to relative tolerance
+    ``tolerance_x``.  Both instances are indexed by the final iteration.
     """
     n = problem.n
     within = (trace.terminated_at <= n
               and trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE)
-    over = max(0, trace.terminated_at - n)
-    residuals = [IdentityResidual("terminates_within_dimension",
-                                  (trace.terminated_at,), float(over),
-                                  float(over), within)]
+    over = float(max(0, trace.terminated_at - n))
     note = ""
     if trace.termination_reason != TerminationReason.GRADIENT_BELOW_TOLERANCE:
         note = (f"run stopped by {trace.termination_reason.value} after "
@@ -354,18 +444,17 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
     try:
         x_oracle = problem.direct_solution()
     except Exception as err:  # factorization failure is reported, not raised
-        residuals.append(IdentityResidual("solution_matches_direct_solve", (),
-                                          math.inf, math.inf, False))
+        err_abs = rel = math.inf
         note = (note + "; " if note else "") + f"direct-solve oracle failed: {err}"
-        result = _result("finite_termination", tolerance_x, residuals, note)
-        return VerificationReport(checks=(result,), passed=result.passed)
-    err_abs = float(np.linalg.norm(trace.final_x - x_oracle))
-    scale = float(np.linalg.norm(x_oracle))
-    rel = _normalized(err_abs, scale)
-    residuals.append(IdentityResidual("solution_matches_direct_solve", (),
-                                      err_abs, rel, rel <= tolerance_x))
-    result = _result("finite_termination", tolerance_x, residuals, note)
-    return VerificationReport(checks=(result,), passed=result.passed)
+    else:
+        err_abs = float(np.linalg.norm(trace.final_x - x_oracle))
+        rel = err_abs / max(float(np.linalg.norm(x_oracle)), _FLOOR)
+    result = _result(
+        "finite_termination", tolerance_x, np.array([over, err_abs]),
+        np.array([over, rel]), np.full((2, 1), trace.terminated_at),
+        passes=np.array([within, rel <= tolerance_x]), note=note,
+        identities=("terminates_within_dimension", "solution_matches_direct_solve"))
+    return _report((result,))
 
 
 def check_beta_agreement(trace: IterationTrace,
@@ -378,37 +467,9 @@ def check_beta_agreement(trace: IterationTrace,
     all four vanish).  A formula with a vanishing denominator is reported
     for its iteration as an infinite residual.
     """
-    _require_records(trace, "beta-agreement check")
+    stacked = _stack(trace, "beta-agreement check")
     tol = tolerance if tolerance is not None else DEFAULT_CHECK_TOLERANCE
-    recs = trace.records
-    residuals: list[IdentityResidual] = []
-    notes: list[str] = []
-    note = ""
-    if len(recs) == 1:
-        note = "single recorded iteration: no coupling step to compare"
-    for k in range(1, len(recs)):
-        g_k, g_prev, d_prev = recs[k].g, recs[k - 1].g, recs[k - 1].d
-        values = []
-        failed = []
-        for rule in ("fr", "hs", "prp", "dy"):
-            try:
-                values.append(beta(rule, g_k, g_prev, d_prev))
-            except BreakdownError as err:
-                failed.append(f"iteration {k}: {err}")
-        if failed:
-            notes.extend(failed)
-            residuals.append(IdentityResidual("beta_agreement", (k,),
-                                              math.inf, math.inf, False))
-            continue
-        peak = max(abs(v) for v in values)
-        raw = max(values) - min(values)
-        norm = raw / peak if peak > 0.0 else 0.0
-        residuals.append(IdentityResidual("beta_agreement", (k,), raw, norm,
-                                          abs(norm) <= tol))
-    if notes:
-        note = (note + "; " if note else "") + "; ".join(notes)
-    result = _result("beta_agreement", tol, residuals, note)
-    return VerificationReport(checks=(result,), passed=result.passed)
+    return _report((_beta_agreement(stacked, tol),))
 
 
 def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
@@ -416,24 +477,21 @@ def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
                    tolerance_x: float = SOLUTION_TOLERANCE) -> VerificationReport:
     """All five checks merged into one report.
 
-    Identity checks need recorded iterations; when the trace has none (the
-    start point was already optimal, or recording was off) they are skipped
-    with a note and only the termination check runs.
+    The record vectors are stacked and the tolerance schedule resolved once
+    for all identity checks.  Identity checks need recorded iterations; when
+    the trace has none (the start point was already optimal, or recording
+    was off) they are skipped with a note and only the termination check
+    runs.
     """
-    reports = []
+    checks: tuple[CheckResult, ...] = ()
+    relaxed, cond = False, None
+    notes = ("no iterations recorded; identity checks skipped",)
     if trace.records:
-        reports.append(check_classical_identities(trace, problem.A, tolerance=tolerance))
-        reports.append(check_gradient_conjugacy(trace, problem.A, tolerance=tolerance))
-        reports.append(check_stepsize_equivalence(trace))
-        reports.append(check_beta_agreement(
-            trace, tolerance=reports[0].checks[0].tolerance))
-    reports.append(check_finite_termination(trace, problem, tolerance_x=tolerance_x))
-    merged = VerificationReport.merge(*reports)
-    if not trace.records:
-        merged = VerificationReport(
-            checks=merged.checks, passed=merged.passed,
-            tolerance_relaxed=merged.tolerance_relaxed,
-            condition_estimate=merged.condition_estimate,
-            notes=merged.notes + (
-                "no iterations recorded; identity checks skipped",))
-    return merged
+        stacked = _stack(trace, "verification")
+        tol, relaxed, cond, notes = _tolerance_schedule(problem.A, tolerance)
+        checks = (*_classical(stacked, tol),
+                  *_gradient_conjugacy(stacked, problem.A, tol),
+                  _stepsize_equivalence(stacked, STEPSIZE_TOLERANCE),
+                  _beta_agreement(stacked, tol))
+    checks += check_finite_termination(trace, problem, tolerance_x=tolerance_x).checks
+    return _report(checks, relaxed, cond, notes)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,3 +173,12 @@ class TestGenerate:
                        "--out-matrix", str(tmp_path / "o.mtx"),
                        "--out-b", str(tmp_path / "o.b"))
         assert code == 1
+
+
+def test_python_dash_m_runs_without_install():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-m", "cgkit", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: cgkit")

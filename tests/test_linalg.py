@@ -258,3 +258,48 @@ class TestSolveDirect:
         x_true = rng.standard_normal(20)
         rhs = m.matvec(x_true)
         np.testing.assert_allclose(solve_direct(m, rhs), x_true, rtol=1e-10)
+
+
+class TestSparseDirectSolve:
+    def test_above_densify_cap(self):
+        n = 5000
+        lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                           (-1, 0, 1), format="csr")
+        m = MatrixSPD.from_csr(lap.indptr, lap.indices, lap.data, n)
+        rhs = np.random.default_rng(0).standard_normal(n)
+        x = solve_direct(m, rhs)
+        assert np.linalg.norm(m.matvec(x) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_matches_dense_cholesky(self):
+        dense = generate_spd(12, SpectrumSpec(lam_min=1.0, lam_max=50.0), seed=4).to_dense()
+        csr = sparse.csr_matrix(dense)
+        m = MatrixSPD.from_csr(csr.indptr, csr.indices, csr.data, 12)
+        rhs = np.arange(1.0, 13.0)
+        np.testing.assert_allclose(solve_direct(m, rhs), solve_direct(dense, rhs),
+                                   rtol=1e-12)
+
+    def test_rejects_singular_matrix(self):
+        m = MatrixSPD.from_csr([0, 1, 2, 3], [0, 1, 2], [1.0, 0.0, 2.0], 3)
+        with pytest.raises(NotPositiveDefiniteError):
+            solve_direct(m, [1.0, 1.0, 1.0])
+
+    def test_dense_order_above_cap_rejected(self):
+        with pytest.raises(CgKitError):
+            solve_direct(np.eye(4), np.ones(4), densify_cap=3)
+
+
+class TestMatmat:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_matches_column_matvecs(self, storage):
+        m = generate_spd(9, SpectrumSpec(lam_min=1.0, lam_max=10.0), seed=2)
+        if storage == "csr":
+            csr = sparse.csr_matrix(m.to_dense())
+            m = MatrixSPD.from_csr(csr.indptr, csr.indices, csr.data, 9)
+        block = np.random.default_rng(3).standard_normal((9, 4))
+        expected = np.column_stack([m.matvec(col) for col in block.T])
+        np.testing.assert_allclose(m.matmat(block), expected, rtol=1e-13, atol=1e-13)
+
+    def test_shape_mismatch(self):
+        m = MatrixSPD.from_dense(np.eye(3))
+        with pytest.raises(DimensionError):
+            m.matmat(np.ones((2, 2)))

@@ -254,6 +254,36 @@ class TestMatrixMarketRoundTrip:
         np.testing.assert_array_equal(back.to_dense(), a.to_dense())
 
 
+
+class TestMatrixMarketFromCsr:
+    """The coordinate writer reads CSR storage as stored, never densified."""
+
+    # written by the dense route: densify, take the nonzero lower triangle
+    LAPLACIAN4 = ("%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n"
+                  "1 1 2\n2 1 -1\n2 2 2\n3 2 -1\n3 3 2\n4 3 -1\n4 4 2\n")
+    MIXED = ("%%MatrixMarket matrix coordinate real symmetric\n4 4 5\n"
+             "1 1 4\n2 1 0.10000000000000001\n2 2 3\n"
+             "3 3 0.33333333333333331\n4 4 2.5\n")
+
+    def test_bytes_match_dense_route(self):
+        lap = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=4)).A
+        mixed = MatrixSPD.from_csr([0, 2, 4, 5, 6], [0, 1, 0, 1, 2, 3],
+                                   [4.0, 0.1, 0.1, 3.0, 1 / 3, 2.5], 4)
+        for a, expected in ((lap, self.LAPLACIAN4), (mixed, self.MIXED)):
+            buf = io.StringIO()
+            write_matrix_market(a, buf)
+            assert buf.getvalue() == expected
+
+    def test_large_laplacian_written_without_densifying(self):
+        n = 100_000  # a dense copy would take 80 GB
+        a = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=n)).A
+        buf = io.StringIO()
+        write_matrix_market(a, buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[1] == f"{n} {n} {2 * n - 1}"
+        assert lines[2:5] == ["1 1 2", "2 1 -1", "2 2 2"]
+        assert lines[-1] == f"{n} {n} 2"
+
 class TestVectorFiles:
     def test_roundtrip(self, tmp_path):
         v = np.array([1.5, -2.25, 1e-17, 3.0])

@@ -23,6 +23,7 @@ is what the ``cgkit.verify`` checks consume.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,18 @@ class QuadraticProblem:
     def n(self) -> int:
         return self.A.n
 
-    def gradient(self, x) -> np.ndarray:
-        """Gradient ``A x + b`` of the objective at ``x``."""
+    def gradient(self, x, out: np.ndarray | None = None) -> np.ndarray:
+        """Gradient ``A x + b`` of the objective at ``x`` (into ``out`` if given)."""
         x = as_vector(x, self.n, name="x")
-        return self.A.matvec(x) + self.b
+        return np.add(self.A.matvec(x), self.b, out=out)
 
     def objective(self, x) -> float:
         x = as_vector(x, self.n, name="x")
         return 0.5 * dot(x, self.A.matvec(x)) + dot(self.b, x)
 
     def direct_solution(self) -> np.ndarray:
-        """Minimizer from a dense Cholesky solve of ``A x = -b`` (oracle route)."""
+        """Minimizer from a direct solve of ``A x = -b`` (oracle route): dense
+        Cholesky for dense storage, sparse LU for CSR storage."""
         from .linalg import solve_direct
         return solve_direct(self.A, -self.b)
 
@@ -245,28 +247,30 @@ def beta(rule: BetaRule, g_k, g_prev, d_prev) -> float:
     d_prev = np.asarray(d_prev, dtype=np.float64)
     if not (g_k.shape == g_prev.shape == d_prev.shape):
         raise DimensionError("beta operands must share one length")
+    return _beta(rule, g_k, g_prev, d_prev, dot(g_k, g_k), dot(g_prev, g_prev),
+                 np.empty_like(g_k))
 
+
+def _beta(rule: BetaRule, g_k, g_prev, d_prev, gg: float, gg_prev: float,
+          y: np.ndarray) -> float:
+    """:func:`beta` given ``gg = g_k . g_k`` and ``gg_prev = g_prev . g_prev``;
+    ``y`` is scratch space for ``g_k - g_prev``."""
     if rule in (BetaRule.FR, BetaRule.PRP):
-        den = dot(g_prev, g_prev)
+        den = gg_prev
         if den <= EPS_DENOMINATOR:
             raise BreakdownError(
                 f"{rule.name} denominator ||g_prev||^2 = {den:.3e} is numerically zero",
                 rule=rule.name)
     else:
-        y = g_k - g_prev
-        den = dot(d_prev, y)
+        den = dot(d_prev, np.subtract(g_k, g_prev, out=y))
         if abs(den) <= EPS_DENOMINATOR:
             raise BreakdownError(
                 f"{rule.name} denominator d_prev.(g_k - g_prev) = {den:.3e} "
                 "is numerically zero", rule=rule.name)
 
-    if rule == BetaRule.FR:
-        return dot(g_k, g_k) / den
-    if rule == BetaRule.PRP:
-        return dot(g_k, g_k - g_prev) / den
-    if rule == BetaRule.HS:
-        return dot(g_k, g_k - g_prev) / den
-    return dot(g_k, g_k) / den  # DY
+    if rule in (BetaRule.FR, BetaRule.DY):
+        return gg / den
+    return dot(g_k, np.subtract(g_k, g_prev, out=y)) / den  # HS, PRP
 
 
 def direction(g_k, beta_k: float | None = None, d_prev=None) -> np.ndarray:
@@ -318,18 +322,100 @@ def _stepsize(rule: StepsizeRule, g, d, Ad) -> float:
     return stepsize_orthogonal(g, Ad)
 
 
+def _iterate(problem: QuadraticProblem, config: SolverConfig,
+             prev: IterationRecord | None, gg_prev: float | None,
+             row: np.ndarray, tmp: np.ndarray, tol: float = -math.inf,
+             cap: float = math.inf) -> tuple[IterationRecord, float, TerminationReason | None]:
+    """Iteration ``k`` of the recurrence, written into the buffers
+    ``row = (x, g, d, Ad)``.
+
+    This is the one implementation of the step, its breakdown guards and
+    its tolerance test; :func:`solve`, :func:`initial_record` and
+    :func:`step` differ only in the buffers they hand it.  With ``prev``
+    (the complete record ``k - 1``, whose ``g . g`` is ``gg_prev``) it
+    writes ``x_k = x + alpha d`` and ``g_k`` (by the recurrence
+    ``g + alpha Ad`` or as ``A x_k + b``); with ``prev=None`` the caller has
+    put ``x_0`` and ``g_0`` in ``row`` and ``k = 0``.  ``tmp`` is scratch.
+
+    Returns ``(record, g_k . g_k, reason)``.  When ``||g_k|| <= tol`` or
+    ``k >= cap`` the record is terminal and ``reason`` says which;
+    otherwise ``d_k`` and ``A d_k`` go into ``row``, the record is complete
+    and ``reason`` is None.  A vanishing denominator raises
+    :class:`BreakdownError` at iteration ``k``.
+    """
+    x, g, d, Ad = row
+    k = 0 if prev is None else prev.k + 1
+    if prev is not None:
+        np.add(prev.x, np.multiply(prev.d, prev.alpha, out=tmp), out=x)
+        if config.gradient_update == GradientUpdate.RECURRENCE:
+            np.add(prev.g, np.multiply(prev.Ad, prev.alpha, out=tmp), out=g)
+        else:
+            problem.gradient(x, out=g)
+    gg = dot(g, g)
+    reason = None
+    if math.sqrt(gg) <= tol:  # sqrt(g . g) is np.linalg.norm(g) to the bit
+        reason = TerminationReason.GRADIENT_BELOW_TOLERANCE
+    elif k >= cap:
+        reason = TerminationReason.ITERATION_CAP
+    if reason is not None:
+        return (IterationRecord(k=k, x=x, g=g, d=None, alpha=None, beta=None, Ad=None),
+                gg, reason)
+    try:
+        if prev is None:
+            beta_k = None
+            np.negative(g, out=d)
+        else:
+            beta_k = _beta(config.beta_rule, g, prev.g, prev.d, gg, gg_prev, tmp)
+            # -g + beta d_prev, rounded identically
+            np.subtract(np.multiply(prev.d, beta_k, out=tmp), g, out=d)
+        # a traced solve's pages fault in far faster as one block than as
+        # a fresh array per product, so A d is copied into the row too
+        np.copyto(Ad, problem.A.matvec(d))
+        alpha = _stepsize(config.stepsize_rule, g, d, Ad)
+    except BreakdownError as err:
+        raise err.at_iteration(k) from None
+    return IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha, beta=beta_k, Ad=Ad), gg, None
+
+
+def _start(problem: QuadraticProblem, x_0, row: np.ndarray) -> None:
+    """Put ``x_0`` (default: zero) and ``g_0 = A x_0 + b`` into ``row``."""
+    x, g, _, _ = row
+    if x_0 is None:
+        x.fill(0.0)
+    else:
+        np.copyto(x, as_vector(x_0, problem.n, name="x_0"))
+    problem.gradient(x, out=g)
+
+
+def _trace_rows(n: int, count: int):
+    """At most ``count`` fresh ``(x, g, d, Ad)`` rows for a traced solve.
+
+    The rows come from blocks of 8, 16, 32, ... rows, each allocated when
+    the run reaches it: storage follows the steps taken, not the cap, and
+    no block is ever copied into a larger one.
+    """
+    size = 8
+    while count > 0:
+        block = np.empty((min(size, count), 4, n))
+        count -= len(block)
+        size *= 2
+        yield from block
+
+
+def _ring_rows(n: int):
+    """Two ``(x, g, d, Ad)`` rows, handed out in turn to an untraced solve."""
+    ring = np.empty((2, 4, n))
+    while True:
+        yield from ring
+
+
 def initial_record(problem: QuadraticProblem, x_0, config: SolverConfig | None = None) -> IterationRecord:
     """Complete record at k=0: ``d_0 = -g_0`` with its stepsize and ``A d_0``."""
-    config = config or SolverConfig()
-    x_0 = as_vector(x_0, problem.n, name="x_0").copy()
-    g_0 = problem.gradient(x_0)
-    d_0 = -g_0
-    Ad_0 = problem.A.matvec(d_0)
-    try:
-        alpha_0 = _stepsize(config.stepsize_rule, g_0, d_0, Ad_0)
-    except BreakdownError as err:
-        raise err.at_iteration(0) from None
-    return IterationRecord(k=0, x=x_0, g=g_0, d=d_0, alpha=alpha_0, beta=None, Ad=Ad_0)
+    row = np.empty((4, problem.n))
+    _start(problem, x_0, row)
+    record, _, _ = _iterate(problem, config or SolverConfig(), None, None, row,
+                            np.empty(problem.n))
+    return record
 
 
 def step(problem: QuadraticProblem, record_k: IterationRecord,
@@ -351,28 +437,13 @@ def step(problem: QuadraticProblem, record_k: IterationRecord,
         raise ValueError("step requires a complete (non-terminal) record")
     if tol is None:
         tol = config.grad_tolerance if config.grad_tolerance is not None else 0.0
-    if record_k.grad_norm() <= tol:
+    gg = dot(record_k.g, record_k.g)
+    if math.sqrt(gg) <= tol:
         raise ValueError(
             "gradient already at or below tolerance; caller must terminate")
-
-    k1 = record_k.k + 1
-    x_1 = record_k.x + record_k.alpha * record_k.d
-    if config.gradient_update == GradientUpdate.RECURRENCE:
-        g_1 = record_k.g + record_k.alpha * record_k.Ad
-    else:
-        g_1 = problem.gradient(x_1)
-    if float(np.linalg.norm(g_1)) <= tol:
-        return IterationRecord(k=k1, x=x_1, g=g_1, d=None, alpha=None,
-                               beta=None, Ad=None)
-    try:
-        beta_1 = beta(config.beta_rule, g_1, record_k.g, record_k.d)
-        d_1 = direction(g_1, beta_1, record_k.d)
-        Ad_1 = problem.A.matvec(d_1)
-        alpha_1 = _stepsize(config.stepsize_rule, g_1, d_1, Ad_1)
-    except BreakdownError as err:
-        raise err.at_iteration(k1) from None
-    return IterationRecord(k=k1, x=x_1, g=g_1, d=d_1, alpha=alpha_1,
-                           beta=beta_1, Ad=Ad_1)
+    record, _, _ = _iterate(problem, config, record_k, gg, np.empty((4, problem.n)),
+                            np.empty(problem.n), tol)
+    return record
 
 
 def solve(problem: QuadraticProblem, x_0=None,
@@ -382,65 +453,39 @@ def solve(problem: QuadraticProblem, x_0=None,
     Stops when ``||g_k|| <= tol``, at ``max_iterations``, or on breakdown;
     the reason lands in ``trace.termination_reason`` (a breakdown is never
     a silent wrong answer).  With ``config.record_trace`` the trace carries
-    one complete record per step taken, including the cached ``A d_k``.
+    one complete record per step taken, including the cached ``A d_k``;
+    its vectors are read-only views of row blocks allocated as the run
+    proceeds.  Without it, two rows of buffers are reused throughout.
     """
     config = config or SolverConfig()
     n = problem.n
-    if x_0 is None:
-        x = np.zeros(n)
-    else:
-        x = as_vector(x_0, n, name="x_0").copy()
-    g = problem.gradient(x)
-    g0_norm = float(np.linalg.norm(g))
-    tol = (config.grad_tolerance if config.grad_tolerance is not None
-           else DEFAULT_RELATIVE_TOLERANCE * g0_norm)
     cap = config.max_iterations if config.max_iterations is not None else n
+    rows = _trace_rows(n, cap + 1) if config.record_trace else _ring_rows(n)
+    tmp = np.empty(n)
+    row = next(rows)
+    _start(problem, x_0, row)
+    tol = (config.grad_tolerance if config.grad_tolerance is not None
+           else DEFAULT_RELATIVE_TOLERANCE * float(np.linalg.norm(row[1])))
 
     records: list[IterationRecord] = []
+    taken = 0
     breakdown_note: str | None = None
+    record = gg = None
+    try:
+        while True:
+            record, gg, reason = _iterate(problem, config, record, gg, row, tmp, tol, cap)
+            if reason is not None:
+                break
+            if config.record_trace:
+                records.append(record)
+            taken += 1
+            row = next(rows)
+    except BreakdownError as err:
+        reason = TerminationReason.BREAKDOWN
+        breakdown_note = str(err)
 
-    if g0_norm <= tol:
-        reason = TerminationReason.GRADIENT_BELOW_TOLERANCE
-        trace = IterationTrace(tuple(records), x, g, 0, reason, tol)
-        return x, trace
-
-    d = -g
-    beta_k: float | None = None
-    k = 0
-    reason = TerminationReason.ITERATION_CAP
-    while True:
-        Ad = problem.A.matvec(d)
-        try:
-            alpha = _stepsize(config.stepsize_rule, g, d, Ad)
-        except BreakdownError as err:
-            reason = TerminationReason.BREAKDOWN
-            breakdown_note = str(err.at_iteration(k))
-            break
-        if config.record_trace:
-            records.append(IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha,
-                                           beta=beta_k, Ad=Ad))
-        g_prev = g
-        x = x + alpha * d
-        if config.gradient_update == GradientUpdate.RECURRENCE:
-            g = g + alpha * Ad
-        else:
-            g = problem.gradient(x)
-        k += 1
-        if float(np.linalg.norm(g)) <= tol:
-            reason = TerminationReason.GRADIENT_BELOW_TOLERANCE
-            break
-        if k >= cap:
-            reason = TerminationReason.ITERATION_CAP
-            break
-        try:
-            beta_k = beta(config.beta_rule, g, g_prev, d)
-        except BreakdownError as err:
-            reason = TerminationReason.BREAKDOWN
-            breakdown_note = str(err.at_iteration(k))
-            break
-        d = -g + beta_k * d
-
-    terminated_at = k if not config.record_trace else len(records)
-    trace = IterationTrace(tuple(records), x, g, terminated_at, reason, tol,
+    # copies, so that keeping the answer does not keep a block of rows alive
+    x, g = row[0].copy(), row[1].copy()
+    trace = IterationTrace(tuple(records), x, g, taken, reason, tol,
                            breakdown=breakdown_note)
     return x, trace

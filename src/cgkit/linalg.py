@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as _sparse
 from scipy.linalg import cho_factor, cho_solve
 
-from . import kernels
 from .errors import (
     CgKitError,
     DimensionError,
@@ -62,11 +61,12 @@ class MatrixSPD:
     Construct via :meth:`from_dense` or :meth:`from_csr`.  Stored entries
     satisfy exact symmetry (inputs are checked against a relative tolerance
     of ``1e-12 * max|A|`` and then symmetrized).  CSR storage keeps both
-    triangles so the product kernel never mirrors on the fly.  Instances
-    are immutable: backing arrays are marked read-only.
+    triangles in one SciPy ``csr_array``, whose compiled kernel computes
+    every sparse product; dense products go to BLAS.  Instances are
+    immutable: backing arrays are marked read-only.
     """
 
-    __slots__ = ("n", "storage", "_dense", "_indptr", "_indices", "_data")
+    __slots__ = ("n", "storage", "_dense", "_csr")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use MatrixSPD.from_dense or MatrixSPD.from_csr")
@@ -91,7 +91,7 @@ class MatrixSPD:
         m.n = a.shape[0]
         m.storage = "dense"
         m._dense = a
-        m._indptr = m._indices = m._data = None
+        m._csr = None
         return m
 
     @classmethod
@@ -102,7 +102,7 @@ class MatrixSPD:
         if not np.all(np.isfinite(data)):
             raise CgKitError("matrix contains non-finite entries")
         try:
-            m = _sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+            m = _sparse.csr_array((data, indices, indptr), shape=(n, n))
         except (ValueError, IndexError) as err:
             raise DimensionError(f"invalid CSR structure: {err}") from err
         m.sum_duplicates()
@@ -115,15 +115,13 @@ class MatrixSPD:
                 f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * peak:.3e}")
         m = (m + m.T) / 2.0
         m.sort_indices()
+        for arr in (m.indptr, m.indices, m.data):
+            arr.setflags(write=False)
         out = cls._new()
         out.n = n
         out.storage = "csr"
         out._dense = None
-        out._indptr = np.ascontiguousarray(m.indptr, dtype=np.int64)
-        out._indices = np.ascontiguousarray(m.indices, dtype=np.int64)
-        out._data = np.ascontiguousarray(m.data, dtype=np.float64)
-        for arr in (out._indptr, out._indices, out._data):
-            arr.setflags(write=False)
+        out._csr = m
         return out
 
     @property
@@ -134,7 +132,7 @@ class MatrixSPD:
     def nnz(self) -> int:
         if self.storage == "dense":
             return int(np.count_nonzero(self._dense))
-        return int(self._data.size)
+        return int(self._csr.nnz)
 
     @property
     def is_dense(self) -> bool:
@@ -144,17 +142,13 @@ class MatrixSPD:
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.storage != "csr":
             raise CgKitError("matrix is not stored in CSR form")
-        return self._indptr, self._indices, self._data
+        return self._csr.indptr, self._csr.indices, self._csr.data
 
     def to_dense(self) -> np.ndarray:
         """Densified copy (read-only for dense storage, fresh for CSR)."""
         if self.storage == "dense":
             return self._dense
-        return self._scipy_csr().toarray()
-
-    def _scipy_csr(self) -> _sparse.csr_matrix:
-        return _sparse.csr_matrix((self._data, self._indices, self._indptr),
-                                  shape=self.shape)
+        return self._csr.toarray()
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -162,8 +156,8 @@ class MatrixSPD:
             raise DimensionError(
                 f"operand has shape {x.shape}, expected ({self.n},)")
         if self.storage == "dense":
-            return kernels.dense_matvec(self._dense, x)
-        return kernels.csr_matvec(self._indptr, self._indices, self._data, x)
+            return self._dense @ x
+        return self._csr @ x
 
     def matmat(self, block) -> np.ndarray:
         """Product ``A X`` for an (n, m) block: BLAS for dense storage, SciPy's
@@ -174,17 +168,17 @@ class MatrixSPD:
                 f"operand has shape {block.shape}, expected ({self.n}, m)")
         if self.storage == "dense":
             return self._dense @ block
-        return self._scipy_csr() @ block
+        return self._csr @ block
 
     def max_abs(self) -> float:
         if self.storage == "dense":
             return float(np.abs(self._dense).max())
-        return float(np.abs(self._data).max()) if self._data.size else 0.0
+        return float(np.abs(self._csr.data).max()) if self._csr.nnz else 0.0
 
     def frobenius_norm(self) -> float:
         if self.storage == "dense":
             return float(np.linalg.norm(self._dense))
-        return float(np.linalg.norm(self._data))
+        return float(np.linalg.norm(self._csr.data))
 
     def __repr__(self) -> str:
         return f"MatrixSPD(n={self.n}, storage={self.storage!r}, nnz={self.nnz})"
@@ -214,7 +208,7 @@ def dot(u, v) -> float:
 
 
 def matvec(a: MatrixSPD, x) -> np.ndarray:
-    """Product ``A x`` via the active kernel build (see ``cgkit.kernels``)."""
+    """Product ``A x``: BLAS for dense storage, SciPy's CSR kernel for sparse."""
     return a.matvec(x)
 
 
@@ -420,7 +414,7 @@ def _solve_sparse(a: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
     from scipy.sparse.linalg import splu  # costly import, needed only here
 
     try:
-        lu = splu(a._scipy_csr().tocsc())
+        lu = splu(a._csr.tocsc())
     except RuntimeError as err:  # SuperLU reports an exactly singular factor
         raise NotPositiveDefiniteError(
             f"sparse LU factorization failed: {err}") from err

@@ -98,8 +98,8 @@ def _ensemble_problem(index, n, kind, kappa) -> QuadraticProblem:
 @pytest.fixture(scope="module")
 def ensemble():
     """Solve all 50 members once and evaluate every check on each trace."""
-    # warm the jit kernels so the timing below measures the math, not the
-    # one-time compile (which is disk-cached across runs anyway)
+    # one small solve first, so the timing below measures the math and not
+    # one-time start-up costs
     warm = QuadraticProblem(MatrixSPD.from_dense(np.eye(2)), [1.0, 1.0])
     solve(warm)
 

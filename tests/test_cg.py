@@ -1,5 +1,9 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from cgkit import (
     BetaRule,
@@ -229,11 +233,17 @@ class TestSolve:
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
 
     def test_trace_arrays_are_readonly(self, worked_problem):
-        _, trace = solve(worked_problem)
-        with pytest.raises(ValueError):
-            trace.records[0].g[0] = 7.0
-        with pytest.raises(ValueError):
-            trace.final_x[0] = 7.0
+        x, trace = solve(worked_problem)
+        x_untraced, untraced = solve(worked_problem,
+                                     config=SolverConfig(record_trace=False))
+        rec0 = initial_record(worked_problem, [0.0, 0.0])
+        arrays = [x, trace.final_x, trace.final_g,
+                  x_untraced, untraced.final_x, untraced.final_g]
+        for rec in (*trace.records, rec0, step(worked_problem, rec0)):
+            arrays += [rec.x, rec.g, rec.d, rec.Ad]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
 
     def test_explicit_tolerance_honored(self, worked_problem):
         _, trace = solve(worked_problem, config=SolverConfig(grad_tolerance=10.0))
@@ -250,6 +260,85 @@ class TestSolve:
         baseline = finals[BetaRule.FR]
         for x in finals.values():
             np.testing.assert_allclose(x, baseline, rtol=1e-10, atol=1e-12)
+
+
+RULES = list(itertools.product(StepsizeRule, BetaRule, GradientUpdate))
+RULE_IDS = ["-".join(rule.value for rule in rules) for rules in RULES]
+
+
+def _config(rules, **kwargs) -> SolverConfig:
+    stepsize_rule, beta_rule, gradient_update = rules
+    return SolverConfig(stepsize_rule=stepsize_rule, beta_rule=beta_rule,
+                        gradient_update=gradient_update, **kwargs)
+
+
+def _in_storage(problem: QuadraticProblem, storage: str) -> QuadraticProblem:
+    if storage == "dense":
+        return problem
+    m = sparse.csr_matrix(problem.A.to_dense())
+    return QuadraticProblem(MatrixSPD.from_csr(m.indptr, m.indices, m.data, problem.n),
+                            problem.b)
+
+
+class TestSingleCore:
+    """solve, initial_record and step run one iteration core, so their
+    results agree to the bit however the vectors are stored."""
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("rules", RULES, ids=RULE_IDS)
+    def test_traced_and_untraced_bit_identical(self, rules, storage):
+        problem = _in_storage(make_spd_problem(np.linspace(1.0, 50.0, 41), seed=6),
+                              storage)
+        for cap in (None, 7):
+            xt, traced = solve(problem, config=_config(rules, max_iterations=cap))
+            xu, untraced = solve(problem, config=_config(rules, max_iterations=cap,
+                                                         record_trace=False))
+            assert untraced.records == ()
+            assert len(traced.records) == traced.terminated_at == untraced.terminated_at
+            assert traced.termination_reason == untraced.termination_reason
+            np.testing.assert_array_equal(xt, xu)
+            assert xt.base is None  # the answer holds no block of the trace
+            np.testing.assert_array_equal(traced.final_x, untraced.final_x)
+            np.testing.assert_array_equal(traced.final_g, untraced.final_g)
+
+    @pytest.mark.parametrize("rules", RULES, ids=RULE_IDS)
+    def test_records_equal_the_step_chain(self, rules):
+        problem = make_spd_problem(np.linspace(1.0, 10.0, 30), seed=9)
+        config = _config(rules)
+        _, trace = solve(problem, config=config)
+        assert trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE
+        rec = initial_record(problem, np.zeros(problem.n), config)
+        for expected in trace.records:
+            assert (rec.k, rec.alpha, rec.beta) == (expected.k, expected.alpha, expected.beta)
+            for name in ("x", "g", "d", "Ad"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(expected, name))
+            rec = step(problem, rec, config, tol=trace.grad_tolerance)
+        assert rec.is_terminal
+        np.testing.assert_array_equal(rec.x, trace.final_x)
+        np.testing.assert_array_equal(rec.g, trace.final_g)
+
+    def test_trace_storage_follows_the_steps_not_the_cap(self):
+        # 4 distinct eigenvalues: CG stops after 4 steps, far below the
+        # default cap n
+        n = 200_000
+        eigs = np.array([1.0, 2.0, 5.0, 10.0])[np.arange(n) % 4]
+        diag = sparse.diags(eigs, format="csr")
+        problem = QuadraticProblem(
+            MatrixSPD.from_csr(diag.indptr, diag.indices, diag.data, n),
+            np.random.default_rng(0).standard_normal(n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, trace = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.terminated_at == 4
+        assert trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE
+        # the first block of 8 (x, g, d, Ad) rows and a few work vectors,
+        # where storage sized by the cap would take 4 (n + 1) vectors
+        assert peak < 40 * n * 8
 
 
 class TestSolveProperties:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cgkit import (
+    BuiltinProblemSpec,
     CgKitError,
     DimensionError,
     MatrixSPD,
@@ -13,6 +14,7 @@ from cgkit import (
     ProblemSpecError,
     SpectrumSpec,
     SymmetryError,
+    builtin_problem,
     dot,
     generate_spd,
     matvec,
@@ -45,6 +47,20 @@ class TestDot:
         expected = math.fsum(v * v for v in values)
         got = dot(u, u)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-30)
+
+
+def _random_symmetric_csr(n, density, seed):
+    rng = np.random.default_rng(seed)
+    m = sparse.random(n, n, density=density, format="csr", dtype=np.float64,
+                      random_state=rng)
+    m = sparse.csr_matrix(m + m.T)
+    return MatrixSPD.from_csr(m.indptr, m.indices, m.data, n), m.toarray()
+
+
+def _bincount_matvec(indptr, indices, data, x):
+    """Per-row sums of ``data * x[indices]``, each added left to right."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return np.bincount(rows, weights=data * x[indices], minlength=indptr.size - 1)
 
 
 class TestMatvec:
@@ -94,6 +110,33 @@ class TestMatvec:
         ys = as_csr.matvec(x)
         np.testing.assert_allclose(ys, yd, rtol=1e-14,
                                    atol=1e-14 * max(np.abs(yd).max(), 1.0))
+
+    def test_dense_matches_blas(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((37, 37))
+        m = MatrixSPD.from_dense((a + a.T) / 2)
+        x = rng.standard_normal(37)
+        np.testing.assert_array_equal(m.matvec(x), m.to_dense() @ x)
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_csr_matches_dense(self, density):
+        m, dense = _random_symmetric_csr(29, density, seed=1)
+        x = np.random.default_rng(2).standard_normal(29)
+        np.testing.assert_allclose(m.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+
+    def test_csr_empty_rows_contribute_zero(self):
+        # row 1 of 3 stores nothing
+        m = MatrixSPD.from_csr([0, 1, 1, 2], [0, 2], [3.0, 4.0], 3)
+        np.testing.assert_array_equal(m.matvec([1.0, 1.0, 1.0]), [3.0, 0.0, 4.0])
+
+    @pytest.mark.parametrize("which", ["laplacian1d", "random"])
+    def test_csr_bit_identical_to_row_sums(self, which):
+        if which == "laplacian1d":
+            m = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=1001)).A
+        else:
+            m, _ = _random_symmetric_csr(500, 0.02, seed=3)
+        x = np.random.default_rng(4).standard_normal(m.n)
+        np.testing.assert_array_equal(m.matvec(x), _bincount_matvec(*m.csr_arrays, x))
 
 
 class TestMatrixSPD:

@@ -358,6 +358,26 @@ class TestTraceDocuments:
         assert lines[-1] == "k,alpha,beta,grad_norm,objective"
         assert any(line.startswith("#") for line in lines)
 
+    @pytest.mark.parametrize("update", ["recurrence", "explicit"])
+    def test_objective_from_recorded_gradient(self, update):
+        problem = builtin_problem(BuiltinProblemSpec(
+            family="random_spd", n=60, seed=3, b_mode="random", b_seed=3,
+            spectrum=SpectrumSpec(lam_min=1.0, lam_max=100.0)))
+        config = SolverConfig(gradient_update=update)
+        _, trace = solve(problem, config=config)
+        doc = TraceDocument.from_solve(problem, config, trace)
+        eps = np.finfo(np.float64).eps
+        b, a_norm = problem.b, problem.A.frobenius_norm()
+        for rec, row in zip(trace.records, doc.iterations, strict=True):
+            # x.(g + b)/2 departs from f(x) by half of x.(drift of the
+            # recorded g from A x + b), plus rounding in both formulas
+            x_norm = np.linalg.norm(rec.x)
+            drift = np.linalg.norm(rec.g - problem.gradient(rec.x))
+            scale = x_norm * (a_norm * x_norm + np.linalg.norm(b) + np.linalg.norm(rec.g))
+            bound = 0.5 * x_norm * drift + 4 * problem.n * eps * scale
+            assert abs(row["objective"] - problem.objective(rec.x)) <= bound
+        assert doc.final["objective"] == problem.objective(trace.final_x)
+
     def test_timestamp_suppression(self, solved):
         problem, config, trace = solved
         with_ts = TraceDocument.from_solve(problem, config, trace)

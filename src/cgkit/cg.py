@@ -106,7 +106,12 @@ class QuadraticProblem:
 
     def gradient(self, x, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient ``A x + b`` of the objective at ``x`` (into ``out`` if given)."""
-        x = as_vector(x, self.n, name="x")
+        return self._gradient(as_vector(x, self.n, name="x"), out)
+
+    def _gradient(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`gradient` of a float64 vector of length ``n`` the caller
+        has already checked: the solver's own iterates skip the
+        finiteness pass."""
         return np.add(self.A.matvec(x), self.b, out=out)
 
     def objective(self, x) -> float:
@@ -350,7 +355,7 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig,
         if config.gradient_update == GradientUpdate.RECURRENCE:
             np.add(prev.g, np.multiply(prev.Ad, prev.alpha, out=tmp), out=g)
         else:
-            problem.gradient(x, out=g)
+            problem._gradient(x, out=g)
     gg = dot(g, g)
     reason = None
     if math.sqrt(gg) <= tol:  # sqrt(g . g) is np.linalg.norm(g) to the bit
@@ -384,7 +389,7 @@ def _start(problem: QuadraticProblem, x_0, row: np.ndarray) -> None:
         x.fill(0.0)
     else:
         np.copyto(x, as_vector(x_0, problem.n, name="x_0"))
-    problem.gradient(x, out=g)
+    problem._gradient(x, out=g)
 
 
 def _trace_rows(n: int, count: int):

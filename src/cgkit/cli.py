@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -157,13 +158,14 @@ def _solve_exit_code(reason: TerminationReason) -> int:
 
 def _cmd_solve(args) -> int:
     problem, description = _build_problem(args)
-    config = _solver_config(args)
+    # the printed summary needs no trace: only a trace file records one
+    config = replace(_solver_config(args), record_trace=bool(args.output))
     x, trace = solve(problem, config=config)
-    doc = TraceDocument.from_solve(problem, config, trace,
-                                   problem_description=description,
-                                   include_vectors=args.include_vectors,
-                                   timestamp=not args.no_timestamp)
     if args.output:
+        doc = TraceDocument.from_solve(problem, config, trace,
+                                       problem_description=description,
+                                       include_vectors=args.include_vectors,
+                                       timestamp=not args.no_timestamp)
         write_trace(doc, args.output, fmt=args.format)
         print(f"trace written to {args.output}")
     print(f"iterations: {trace.terminated_at}")

@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 from cgkit import (
     BetaRule,
     BreakdownError,
+    CgKitError,
     DimensionError,
     GradientUpdate,
     IterationRecord,
@@ -27,6 +28,7 @@ from cgkit import (
     stepsize_exact,
     stepsize_orthogonal,
 )
+import cgkit.cg as cg_module
 from conftest import make_spd_problem
 
 # Hand-worked trace of the 2x2 instance A=diag(2,1), b=(-2,-1), x_0=0:
@@ -57,6 +59,27 @@ class TestGradient:
     def test_dimension_mismatch(self, worked_problem):
         with pytest.raises(DimensionError):
             gradient(worked_problem, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("x, error", [([np.nan, 1.0], CgKitError),
+                                          ([1.0, 2.0, 3.0], DimensionError)])
+    def test_method_validates_x(self, worked_problem, x, error):
+        # the solver skips this check for its own iterates; callers do not
+        with pytest.raises(error):
+            worked_problem.gradient(x, out=np.empty(2))
+
+    def test_explicit_iterations_skip_the_input_check(self, worked_problem, monkeypatch):
+        checked = []
+        real = cg_module.as_vector
+
+        def counting(v, *args, **kwargs):
+            checked.append(v)
+            return real(v, *args, **kwargs)
+
+        monkeypatch.setattr(cg_module, "as_vector", counting)
+        x, trace = solve(worked_problem, config=SolverConfig(gradient_update="explicit"))
+        assert checked == []
+        assert trace.terminated_at == 2
+        np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-15)
 
 
 class TestBeta:

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cgkit.cli as cli
+from cgkit import solve
 from cgkit.cli import main
-from cgkit.problems_io import read_matrix_market, read_vector_file
+from cgkit.problems_io import TraceDocument, read_matrix_market, read_vector_file
 
 
 def run_cli(*argv):
@@ -32,6 +34,31 @@ class TestSolve:
         doc = json.loads(trace.read_text())
         assert doc["final"]["iterations"] == 2
         np.testing.assert_allclose(doc["final"]["x"], [1.0, 1.0], rtol=1e-15)
+
+    @pytest.mark.parametrize("extra, code", [((), 0), (("--max-iters", "3"), 2)])
+    def test_summary_without_output_matches_traced_run(self, tmp_path, capsys,
+                                                        monkeypatch, extra, code):
+        argv = ("solve", "--builtin", "laplacian1d", "--n", "50", "--b", "random",
+                *extra)
+        out = tmp_path / "trace.json"
+        assert run_cli(*argv, "--output", str(out)) == code
+        traced = capsys.readouterr().out.splitlines()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace document built without --output")
+
+        configs = []
+
+        def spy(problem, config):
+            configs.append(config)
+            return solve(problem, config=config)
+
+        monkeypatch.setattr(TraceDocument, "from_solve", refuse)
+        monkeypatch.setattr(cli, "solve", spy)
+        assert run_cli(*argv) == code
+        plain = capsys.readouterr().out.splitlines()
+        assert traced == [f"trace written to {out}", *plain]
+        assert [c.record_trace for c in configs] == [False]
 
     def test_tabular_output(self, tmp_path):
         out = tmp_path / "trace.csv"

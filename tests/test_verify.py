@@ -1,5 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cgkit import (
     IncompleteTraceError,
@@ -7,6 +13,7 @@ from cgkit import (
     MatrixSPD,
     QuadraticProblem,
     SolverConfig,
+    SpectrumSpec,
     TerminationReason,
     check_beta_agreement,
     check_classical_identities,
@@ -14,11 +21,15 @@ from cgkit import (
     check_gradient_conjugacy,
     check_stepsize_equivalence,
     estimate_condition,
+    generate_spd,
     run_all_checks,
     solve,
 )
 from cgkit.problems_io import BuiltinProblemSpec, builtin_problem
+from cgkit.verify import CONDITION_RELAX_THRESHOLD, _ritz_extremes, _stack
 from conftest import make_spd_problem
+
+EPS = np.finfo(np.float64).eps
 
 
 @pytest.fixture
@@ -200,6 +211,109 @@ class TestToleranceSchedule:
                                             tolerance=1e-3)
         assert report.checks[0].tolerance == 1e-3
         assert not report.tolerance_relaxed
+
+
+def eight_value_diagonal(n=4000):
+    """Diagonal problem above the densify cap with 8 distinct eigenvalues in [1, 10]."""
+    values = np.array([1.0, 1.7, 2.4, 3.3, 4.1, 5.6, 7.2, 10.0])
+    spec = BuiltinProblemSpec(family="diagonal", n=n,
+                              eigenvalues=tuple(values[np.arange(n) % 8]),
+                              b_mode="random", b_seed=3)
+    return builtin_problem(spec)
+
+
+class TestRitzEstimate:
+    """The schedule's condition estimate from the CG-Lanczos tridiagonal T_K."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(1, 30), log_cond=st.floats(0.0, 6.0),
+           dist=st.sampled_from(["loguniform", "linear", "clustered"]),
+           seed=st.integers(0, 2**16), storage=st.sampled_from(["dense", "csr"]))
+    def test_ritz_extremes_lie_in_the_spectrum(self, n, log_cond, dist, seed, storage):
+        spec = SpectrumSpec(lam_min=1.0, lam_max=10.0 ** log_cond, distribution=dist)
+        a = generate_spd(n, spec, seed)
+        if storage == "csr":
+            m = sparse.csr_matrix(a.to_dense())
+            a = MatrixSPD.from_csr(m.indptr, m.indices, m.data, n)
+        problem = QuadraticProblem(a, np.random.default_rng(seed + 1).standard_normal(n))
+        _, trace = solve(problem)
+        if not trace.records:
+            return
+        stacked = _stack(trace, "test")
+        lo, hi = _ritz_extremes(stacked.alpha, stacked.beta)
+        lam = np.linalg.eigvalsh(a.to_dense())
+        # T_K's entries are ratios of recorded length-n dot products; their
+        # rounding, amplified by up to the condition, moves a Ritz value by
+        # about n eps cond lam_max at most (measured: below a quarter of this)
+        slack = 4.0 * n * EPS * (lam[-1] / lam[0]) * lam[-1]
+        assert lam[0] - slack <= lo <= hi <= lam[-1] + slack
+
+        report = check_classical_identities(trace, a)
+        assert report.tolerance_relaxed == (hi / lo > CONDITION_RELAX_THRESHOLD)
+        if report.tolerance_relaxed:
+            assert report.condition_estimate == estimate_condition(a)
+        else:
+            assert report.condition_estimate == hi / lo
+
+    def test_above_densify_cap_reports_the_estimate(self):
+        problem = eight_value_diagonal()
+        _, trace = solve(problem)
+        assert trace.terminated_at == 8
+        report = run_all_checks(trace, problem)
+        assert report.condition_estimate == pytest.approx(10.0, rel=1e-10)
+        assert not report.tolerance_relaxed
+        assert report.check("descent").tolerance == 1e-8
+        assert report.passed
+
+    def test_laplacian_above_densify_cap_is_relaxed(self):
+        problem = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=3000))
+        _, trace = solve(problem)
+        report = check_classical_identities(trace, problem.A)
+        assert report.tolerance_relaxed
+        assert report.check("descent").tolerance == 1e-5
+        assert report.condition_estimate == pytest.approx(3.649994e6, rel=1e-5)
+        assert any("relaxed" in note for note in report.notes)
+
+    def test_one_record_trace(self):
+        problem = QuadraticProblem(MatrixSPD.from_dense([[2.0]]), [1.0])
+        _, trace = solve(problem)
+        assert len(trace.records) == 1
+        for report in (check_classical_identities(trace, problem.A),
+                       check_gradient_conjugacy(trace, problem.A),
+                       run_all_checks(trace, problem)):
+            assert report.condition_estimate == 1.0
+            assert not report.tolerance_relaxed
+
+    @pytest.mark.parametrize("field, factor", [("alpha", -1.0), ("alpha", 0.0),
+                                               ("beta", -1.0), ("beta", math.nan)])
+    def test_invalid_recorded_step_gives_infinite_estimate(self, field, factor):
+        problem = eight_value_diagonal()
+        _, trace = solve(problem)
+        records = list(trace.records)
+        records[3] = replace(records[3], **{field: factor * getattr(records[3], field)})
+        broken = replace(trace, records=tuple(records))
+        report = check_classical_identities(broken, problem.A)
+        assert report.condition_estimate == math.inf  # order 4000: no exact quote
+        assert report.tolerance_relaxed
+
+    def test_well_conditioned_path_runs_no_dense_eigensolve(self, monkeypatch):
+        spec = BuiltinProblemSpec(family="random_spd", n=200, seed=5,
+                                  spectrum=SpectrumSpec(lam_min=1.0, lam_max=50.0,
+                                                        distribution="linear"))
+        problem = builtin_problem(spec)
+        _, trace = solve(problem)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on the well-conditioned path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = run_all_checks(trace, problem)
+        assert report.passed
+        assert not report.tolerance_relaxed
+        assert report.condition_estimate == pytest.approx(50.0, rel=1e-3)
+        for check in (check_classical_identities, check_gradient_conjugacy):
+            assert check(trace, problem.A).passed
 
 
 class TestRunAllChecks:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownError, DimensionError
-from .linalg import MatrixSPD, as_vector, dot, spd_validate
+from .linalg import MatrixSPD, as_vector, dot, solve_direct, spd_validate
 
 __all__ = [
     "StepsizeRule",
@@ -121,7 +121,6 @@ class QuadraticProblem:
     def direct_solution(self) -> np.ndarray:
         """Minimizer from a direct solve of ``A x = -b`` (oracle route): dense
         Cholesky for dense storage, sparse LU for CSR storage."""
-        from .linalg import solve_direct
         return solve_direct(self.A, -self.b)
 
     def __repr__(self) -> str:
@@ -213,10 +212,6 @@ class IterationTrace:
         for i, rec in enumerate(self.records):
             if rec.k != i:
                 raise ValueError(f"records[{i}] has k={rec.k}; indices must be contiguous")
-
-    @property
-    def iteration_count(self) -> int:
-        return self.terminated_at
 
     def final_grad_norm(self) -> float:
         return float(np.linalg.norm(self.final_g))

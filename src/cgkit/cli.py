@@ -182,12 +182,12 @@ def _cmd_verify(args) -> int:
     config = _solver_config(args)
     x, trace = solve(problem, config=config)
     report = run_all_checks(trace, problem, tolerance=args.check_tol)
-    doc = TraceDocument.from_solve(problem, config, trace,
-                                   problem_description=description,
-                                   report=report,
-                                   include_vectors=args.include_vectors,
-                                   timestamp=not args.no_timestamp)
     if args.output:
+        doc = TraceDocument.from_solve(problem, config, trace,
+                                       problem_description=description,
+                                       report=report,
+                                       include_vectors=args.include_vectors,
+                                       timestamp=not args.no_timestamp)
         write_trace(doc, args.output, fmt="structured")
         print(f"report written to {args.output}")
     print(f"iterations: {trace.terminated_at} "

@@ -35,9 +35,11 @@ __all__ = [
     "DENSIFY_CAP",
 ]
 
-# Dense factorizations (validation, the Cholesky oracle, the condition
-# estimate) densify sparse storage up to this order; beyond it spd_validate
-# falls back to randomized probing.  The oracle solves CSR storage sparsely.
+# Largest order that is densified or eigensolved: spd_validate factors CSR
+# storage by dense Cholesky up to this order and probes it with random
+# vectors beyond, and the exact condition estimate needs a dense eigensolve.
+# Dense storage is Cholesky-factored at any order, by spd_validate and by the
+# direct-solve oracle; the oracle factors CSR storage sparsely.
 DENSIFY_CAP = 2000
 
 SYMMETRY_RTOL = 1e-12
@@ -170,11 +172,6 @@ class MatrixSPD:
             return self._dense @ block
         return self._csr @ block
 
-    def max_abs(self) -> float:
-        if self.storage == "dense":
-            return float(np.abs(self._dense).max())
-        return float(np.abs(self._csr.data).max()) if self._csr.nnz else 0.0
-
     def frobenius_norm(self) -> float:
         if self.storage == "dense":
             return float(np.linalg.norm(self._dense))
@@ -240,16 +237,7 @@ def spd_validate(a, *, densify_cap: int = DENSIFY_CAP, probes: int = 20,
     Raises ``SymmetryError`` for asymmetric input and
     ``NotPositiveDefiniteError`` when the check fails.
     """
-    if isinstance(a, MatrixSPD):
-        m = a
-    else:
-        arr = np.asarray(a, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise CgKitError("matrix contains non-finite entries")
-        _check_symmetry_dense(arr)
-        m = MatrixSPD.from_dense(arr)
+    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
 
     if m.storage == "dense" or m.n <= densify_cap:
         dense = m.to_dense()
@@ -380,14 +368,14 @@ def _nonzero_sign(d: np.ndarray) -> np.ndarray:
     return np.where(d >= 0.0, 1.0, -1.0)
 
 
-def solve_direct(a, rhs, *, densify_cap: int = DENSIFY_CAP) -> np.ndarray:
+def solve_direct(a, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by a direct factorization.
 
     This is the oracle route, independent of the iterative solver.  CSR
     storage is factored by SciPy's sparse LU (SuperLU) at any order, without
     densifying; a singular matrix raises :class:`NotPositiveDefiniteError`.
-    Dense storage (orders up to ``densify_cap``) is factored by Cholesky,
-    whose failure on a non-positive pivot raises the same error.
+    Dense storage is factored by Cholesky at any order, whose failure on a
+    non-positive pivot raises the same error.
     """
     if isinstance(a, MatrixSPD):
         if a.storage == "csr":
@@ -397,11 +385,7 @@ def solve_direct(a, rhs, *, densify_cap: int = DENSIFY_CAP) -> np.ndarray:
         dense = np.asarray(a, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {dense.shape}")
-    n = dense.shape[0]
-    if n > densify_cap:
-        raise CgKitError(
-            f"dense direct solve of order {n} exceeds cap {densify_cap}")
-    rhs = as_vector(rhs, n, name="right-hand side")
+    rhs = as_vector(rhs, dense.shape[0], name="right-hand side")
     try:
         factor = cho_factor(dense)
     except np.linalg.LinAlgError as err:

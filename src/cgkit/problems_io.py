@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -20,7 +21,8 @@ import scipy.sparse as _sparse
 
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import CgKitError, MatrixMarketError, ProblemSpecError
-from .linalg import MatrixSPD, SpectrumSpec, as_vector, dot, generate_spd
+from .linalg import (MatrixSPD, SpectrumSpec, as_vector, dot, generate_spd,
+                     spd_validate)
 from .verify import CheckResult, VerificationReport
 
 __all__ = [
@@ -183,15 +185,18 @@ def _open_text(source, mode: str):
 
     Paths are opened and closed here; caller-owned streams are left open
     (binary ones are wrapped for the duration and detached afterwards so
-    the caller's handle survives).
+    the caller's handle survives).  Files are ASCII; a byte outside it
+    reads as U+FFFD, which no number holds, so it is reported at its line
+    unless it sits in a comment.
     """
     if isinstance(source, (str, Path)):
-        with open(source, mode, encoding="ascii") as stream:
+        with open(source, mode, encoding="ascii", errors="replace") as stream:
             yield stream
     elif isinstance(source, io.TextIOBase):
         yield source
     else:
-        wrapper = io.TextIOWrapper(source, encoding="ascii", write_through=True)
+        wrapper = io.TextIOWrapper(source, encoding="ascii", errors="replace",
+                                   write_through=True)
         try:
             yield wrapper
         finally:
@@ -199,27 +204,99 @@ def _open_text(source, mode: str):
 
 
 def read_matrix_market(source) -> MatrixSPD:
-    """Parse a real MatrixMarket file into a validated SPD matrix.
+    """Read a real MatrixMarket file into a validated SPD matrix.
 
     Accepts coordinate and array formats.  Files declared ``symmetric`` may
     store one triangle; off-diagonal entries are mirrored.  Files declared
     ``general`` must turn out symmetric (checked at construction).  The
     result additionally passes :func:`~cgkit.linalg.spd_validate`.
 
-    Malformed content raises :class:`MatrixMarketError` with the 1-based
-    line number; unsupported fields (complex, pattern) and symmetries
-    (skew-symmetric, hermitian) are rejected the same way.
+    ``scipy.io.mmread`` reads the entries after cgkit has checked the file
+    against the dialect it accepts: comment (``%``) and blank lines
+    anywhere, one entry per line (``row col value``, or one value for
+    array files), fields separated by spaces or tabs, each field a whole
+    number (an optional ``-``, digits with at most one ``.``, an optional
+    exponent; or inf, infinity, nan), and nothing after the declared
+    entries.  Entries are ASCII.  Malformed content raises
+    :class:`MatrixMarketError` with the 1-based line number; unsupported
+    fields (complex, pattern) and symmetries (skew-symmetric, hermitian)
+    are rejected the same way.
     """
-    from .linalg import spd_validate
-
     with _open_text(source, "r") as stream:
-        matrix = _parse_matrix_market(stream)
+        fmt, symmetry = _parse_header(stream.readline())
+        n, parsed = _read_entries(stream, fmt, symmetry)
+    if fmt == "coordinate":
+        parsed = parsed.tocsr()
+        matrix = MatrixSPD.from_csr(parsed.indptr, parsed.indices, parsed.data, n)
+    else:
+        matrix = MatrixSPD.from_dense(parsed)
     spd_validate(matrix)
     return matrix
 
 
-def _parse_matrix_market(stream) -> MatrixSPD:
-    header = stream.readline()
+def _read_entries(stream, fmt: str, symmetry: str):
+    """Order and SciPy's reading of the lines after the header: a COO
+    matrix for coordinate files, an array for array files."""
+    import scipy.io  # costly import, needed only here
+
+    lineno = 1
+    while True:
+        line = stream.readline()
+        if not line:
+            raise MatrixMarketError("missing size line", line=lineno)
+        lineno += 1
+        size_parts = line.split()
+        if size_parts and not size_parts[0].startswith("%"):
+            break
+    n, entries = _parse_size_line(size_parts, fmt, symmetry, lineno)
+
+    # SciPy is handed a canonical header and size line: a "real" field,
+    # because it reads an integer field's "2.5" as 2.  Comment lines
+    # become blank ones, which SciPy skips and still counts.
+    head = f"%%MatrixMarket matrix {fmt} real {symmetry}\n" + "\n" * (lineno - 2)
+    head += f"{n} {n} {entries}\n" if fmt == "coordinate" else f"{n} {n}\n"
+    body = stream.read()
+    if body and not body.endswith("\n"):
+        body += "\n"
+    data = (head + body).encode("ascii", "replace")
+    del body  # the file is held once, as bytes
+    if data.find(b"%", len(head)) >= 0:
+        data = _COMMENT_LINE.sub(b"\n", data)
+    _check_entries(np.frombuffer(data, dtype=np.uint8, offset=len(head)),
+                   3 if fmt == "coordinate" else 1, entries, lineno + 1)
+    try:
+        return n, scipy.io.mmread(io.BytesIO(data))
+    except (ValueError, OverflowError) as err:
+        located = _SCIPY_LINE.fullmatch(str(err))
+        if located is None:
+            raise MatrixMarketError(str(err)) from None
+        raise MatrixMarketError(located[2], line=int(located[1])) from None
+
+
+_COMMENT_LINE = re.compile(rb"\n[ \t\r]*%[^\n]*")
+_SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
+# A field's shape, byte by byte: a digit is '0', a letter a number may hold
+# is folded to lower case, space, tab and CR separate fields, LF ends a
+# line, and any other byte is '?'.
+_SHAPE = np.full(256, ord("?"), dtype=np.uint8)
+_SHAPE[list(b"0123456789")] = ord("0")
+_SHAPE[list(b"+-.eEiInNfFaAtTyY")] = list(b"+-.eeiinnffaattyy")
+_SHAPE[list(b" \t\r")] = ord(" ")
+_SHAPE[ord("\n")] = ord("\n")
+# The shapes, after an optional '-' and with each run of digits one '0', of
+# the numbers SciPy reads whole, as words (see _check_entries).  Of any
+# other field SciPy reads the longest number prefix ("1.2.3" as 1.2, "1nan"
+# as 1) or rejects it ("+1").  The index fields take the same shapes:
+# SciPy itself rejects an index that is a number but not an integer.
+_NUMBER_SHAPES = np.array(
+    [int.from_bytes(mantissa + exponent, "little")
+     for mantissa in (b"0", b"0.", b".0", b"0.0")
+     for exponent in (b"", b"e0", b"e+0", b"e-0")]
+    + [int.from_bytes(word, "little") for word in (b"inf", b"infinity", b"nan")],
+    dtype=np.uint64)
+
+
+def _parse_header(header: str) -> tuple[str, str]:
     if not header:
         raise MatrixMarketError("empty input", line=1)
     parts = header.strip().split()
@@ -236,118 +313,93 @@ def _parse_matrix_market(stream) -> MatrixSPD:
             line=1)
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}", line=1)
-
-    lineno = 1
-    size_parts = None
-    while True:
-        line = stream.readline()
-        if not line:
-            raise MatrixMarketError("missing size line", line=lineno)
-        lineno += 1
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        size_parts = text.split()
-        break
-
-    if fmt == "coordinate":
-        return _parse_coordinate(stream, size_parts, symmetry, lineno)
-    return _parse_array(stream, size_parts, symmetry, lineno)
+    return fmt, symmetry
 
 
-def _parse_coordinate(stream, size_parts, symmetry, lineno) -> MatrixSPD:
-    if len(size_parts) != 3:
-        raise MatrixMarketError("coordinate size line must be 'rows cols nnz'",
-                                line=lineno)
+def _parse_size_line(parts, fmt, symmetry, lineno) -> tuple[int, int]:
+    """Order and number of entries.  Checked here, not by SciPy, which
+    kills the interpreter (SIGFPE) on an array file of order 0."""
+    layout = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    if len(parts) != len(layout.split()):
+        raise MatrixMarketError(f"{fmt} size line must be '{layout}'", line=lineno)
     try:
-        rows, cols, nnz = (int(p) for p in size_parts)
+        rows, cols, *nnz = (int(p) for p in parts)
     except ValueError as err:
         raise MatrixMarketError(f"bad size line: {err}", line=lineno) from None
     if rows != cols:
         raise MatrixMarketError(f"matrix must be square, got {rows}x{cols}",
                                 line=lineno)
-    ii = np.empty(nnz, dtype=np.int64)
-    jj = np.empty(nnz, dtype=np.int64)
-    vv = np.empty(nnz, dtype=np.float64)
-    seen = 0
-    while seen < nnz:
-        line = stream.readline()
-        if not line:
-            raise MatrixMarketError(
-                f"expected {nnz} entries, found {seen}", line=lineno)
-        lineno += 1
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        parts = text.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(
-                f"entry must be 'row col value', got {text!r}", line=lineno)
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as err:
-            raise MatrixMarketError(f"bad entry: {err}", line=lineno) from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketError(
-                f"index ({i}, {j}) outside 1..{rows}", line=lineno)
-        ii[seen], jj[seen], vv[seen] = i - 1, j - 1, v
-        seen += 1
-    if symmetry == "symmetric":
-        off = ii != jj  # mirror off-diagonal entries into the other triangle
-        ii, jj, vv = (np.concatenate([ii, jj[off]]),
-                      np.concatenate([jj, ii[off]]),
-                      np.concatenate([vv, vv[off]]))
-    coo = _sparse.coo_matrix((vv, (ii, jj)), shape=(rows, rows)).tocsr()
-    return MatrixSPD.from_csr(coo.indptr, coo.indices, coo.data, rows)
-
-
-def _parse_array(stream, size_parts, symmetry, lineno) -> MatrixSPD:
-    if len(size_parts) != 2:
-        raise MatrixMarketError("array size line must be 'rows cols'", line=lineno)
-    try:
-        rows, cols = (int(p) for p in size_parts)
-    except ValueError as err:
-        raise MatrixMarketError(f"bad size line: {err}", line=lineno) from None
-    if rows != cols:
-        raise MatrixMarketError(f"matrix must be square, got {rows}x{cols}",
+    if rows < 1:
+        raise MatrixMarketError(f"matrix order must be at least 1, got {rows}",
                                 line=lineno)
-    # array format lists values column-major; symmetric files store the
-    # lower triangle of each column only
-    if symmetry == "symmetric":
-        expected = rows * (rows + 1) // 2
-    else:
-        expected = rows * cols
-    values = np.empty(expected, dtype=np.float64)
-    seen = 0
-    while seen < expected:
-        line = stream.readline()
-        if not line:
-            raise MatrixMarketError(
-                f"expected {expected} values, found {seen}", line=lineno)
-        lineno += 1
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
-        for token in text.split():
-            if seen >= expected:
-                raise MatrixMarketError("more values than the size line declares",
-                                        line=lineno)
-            try:
-                values[seen] = float(token)
-            except ValueError as err:
-                raise MatrixMarketError(f"bad value: {err}", line=lineno) from None
-            seen += 1
-    if symmetry == "symmetric":
-        a = np.empty((rows, rows), dtype=np.float64)
-        pos = 0
-        for j in range(rows):
-            count = rows - j
-            a[j:, j] = values[pos:pos + count]
-            a[j, j:] = values[pos:pos + count]
-            pos += count
-    else:
-        a = values.reshape((rows, rows), order="F")
-    return MatrixSPD.from_dense(a)
+    if nnz:
+        if nnz[0] < 0:
+            raise MatrixMarketError(f"negative entry count {nnz[0]}", line=lineno)
+        return rows, nnz[0]
+    # array files list values column-major; symmetric ones store the lower
+    # triangle of each column only
+    return rows, rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * rows
+
+
+def _check_entries(body: np.ndarray, width: int, entries: int, first_line: int) -> None:
+    """Reject the data lines SciPy would misread.
+
+    ``body`` is the text after the size line as bytes, ending in a newline,
+    with comment lines blank; its first line is line ``first_line``.  Each
+    non-blank line must hold ``width`` fields, each a number of one of the
+    ``_NUMBER_SHAPES``, and there must be ``entries`` such lines.  SciPy
+    ignores extra fields ("1 1 2.0 7"), reads a value by its longest number
+    prefix ("2,5", "0.1-100", "1.2.3") and zero-fills a truncated array
+    file.  The first offending line is reported.
+    """
+    # the body's shape, each run of digits kept as its first digit
+    digit = (body - np.uint8(48)) < 10
+    keep = np.ones(body.size, dtype=bool)
+    keep[1:] = ~(digit[1:] & digit[:-1])
+    del digit
+    shape = _SHAPE[body[keep]]
+    del keep
+    newlines = np.flatnonzero(shape == 10)
+    inside = np.zeros(shape.size + 1, dtype=bool)  # after a separator: the body opens a line
+    np.greater(shape, 32, out=inside[1:])
+    starts = np.flatnonzero(inside[1:] & ~inside[:-1])
+    del inside
+    fields = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    problems = []
+    wrong = np.flatnonzero((fields != 0) & (fields != width))
+    if wrong.size:
+        layout = "'row col value'" if width == 3 else "one value"
+        problems.append((wrong[0], f"entry must be {layout}, "
+                                   f"got {fields[wrong[0]]} fields"))
+    # Each field's shape after its sign, as a word of up to 8 bytes, the
+    # first the lowest.  Most fields are one run of digits, a number, and
+    # are passed over; a field ends at the latest at the body's final LF.
+    starts += (shape[starts] == ord("-")) & (shape[1:][starts] > 32)  # '-' and more
+    odd = np.flatnonzero((shape[starts] != ord("0")) | (shape[1:][starts] > 32))
+    at = starts[odd]
+    words = np.zeros(odd.size, dtype=np.uint64)
+    pending = np.arange(odd.size)
+    for k in range(8):
+        byte = shape[at[pending] + k]
+        more = byte > 32
+        pending = pending[more]
+        words[pending] |= byte[more].astype(np.uint64) << np.uint64(8 * k)
+    words[pending[shape[at[pending] + 8] > 32]] = 0  # no number's shape has 9 bytes
+    malformed = odd[~np.isin(words, _NUMBER_SHAPES)]
+    if malformed.size:
+        line = np.searchsorted(newlines, starts[malformed[0]])
+        text = body.tobytes().split(b"\n")[line].strip().decode("ascii")
+        problems.append((line, f"malformed number in {text!r}"))
+    data_lines = np.flatnonzero(fields)
+    if data_lines.size > entries:
+        problems.append((data_lines[entries],
+                         f"more entries than the {entries} the size line declares"))
+    elif data_lines.size < entries:
+        problems.append((newlines.size - 1,
+                         f"expected {entries} entries, found {data_lines.size}"))
+    if problems:
+        index, message = min(problems)
+        raise MatrixMarketError(message, line=first_line + int(index))
 
 
 def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None:

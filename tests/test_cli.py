@@ -156,6 +156,22 @@ class TestVerify:
                            "--stepsize", rule)
             assert code == 0, capsys.readouterr().out
 
+    def test_summary_without_output_builds_no_document(self, tmp_path, capsys,
+                                                        monkeypatch):
+        argv = ("verify", "--builtin", "random_spd", "--n", "20", "--cond", "10",
+                "--dist", "linear", "--seed", "3")
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--output", str(out)) == 0
+        written = capsys.readouterr().out.splitlines()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("report document built without --output")
+
+        monkeypatch.setattr(TraceDocument, "from_solve", refuse)
+        assert run_cli(*argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert written == [f"report written to {out}", *plain]
+
 
 class TestCompare:
     def test_seeded_random_problem_within_tolerance(self, capsys):

@@ -326,10 +326,6 @@ class TestSparseDirectSolve:
         with pytest.raises(NotPositiveDefiniteError):
             solve_direct(m, [1.0, 1.0, 1.0])
 
-    def test_dense_order_above_cap_rejected(self):
-        with pytest.raises(CgKitError):
-            solve_direct(np.eye(4), np.ones(4), densify_cap=3)
-
 
 class TestMatmat:
     @pytest.mark.parametrize("storage", ["dense", "csr"])

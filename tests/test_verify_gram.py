@@ -34,6 +34,7 @@ from cgkit import (
     solve,
 )
 from cgkit.problems_io import BuiltinProblemSpec, builtin_problem
+from cgkit.linalg import DENSIFY_CAP
 from cgkit.verify import STEPSIZE_TOLERANCE
 from loop_reference import beta_agreement, loop_families, stepsize_equivalence
 
@@ -251,3 +252,18 @@ def test_capped_run_counts_failed_instances(worked_problem):
     assert (finite.count, finite.failures) == (2, 2)
     assert [r.identity for r in finite.residuals] == [
         "terminates_within_dimension", "solution_matches_direct_solve"]
+
+
+def test_finite_termination_passes_for_dense_storage_above_densify_cap():
+    spec = BuiltinProblemSpec(family="random_spd", n=DENSIFY_CAP + 1,
+                              spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0,
+                                                    distribution="linear"),
+                              seed=1, b_mode="random", b_seed=2)
+    problem = builtin_problem(spec)
+    assert problem.A.storage == "dense"
+    _, trace = solve(problem)
+    report = run_all_checks(trace, problem)
+    finite = report.check("finite_termination")
+    assert finite.passed, finite.note
+    assert finite.note == ""
+    assert report.passed

@@ -120,7 +120,7 @@ class QuadraticProblem:
 
     def direct_solution(self) -> np.ndarray:
         """Minimizer from a direct solve of ``A x = -b`` (oracle route): dense
-        Cholesky for dense storage, sparse LU for CSR storage."""
+        Cholesky, or banded Cholesky after RCM ordering for CSR storage."""
         return solve_direct(self.A, -self.b)
 
     def __repr__(self) -> str:

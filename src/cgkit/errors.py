@@ -16,8 +16,8 @@ class SymmetryError(CgKitError, ValueError):
 
 
 class NotPositiveDefiniteError(CgKitError, ValueError):
-    """Symmetric factorization found a non-positive pivot, or a probe
-    vector produced a non-positive quadratic form."""
+    """Cholesky factorization found a non-positive diagonal entry or pivot,
+    or a file declares too few entries to hold an SPD matrix's diagonal."""
 
 
 class ProblemSpecError(CgKitError, ValueError):

@@ -3,7 +3,9 @@
 ``MatrixSPD`` is a symmetric matrix container (dense row-major or CSR with
 both triangles stored).  Symmetry is enforced at construction; positive
 definiteness is certified separately by :func:`spd_validate`, so the type
-can hold a symmetric candidate that validation then rejects.
+can hold a symmetric candidate that validation then rejects.  The direct-solve
+oracle shares its Cholesky routine, which factors CSR storage as a band after
+reverse Cuthill-McKee ordering (George & Liu, 1981).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as _sparse
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cho_solve_banded
 
 from .errors import (
     CgKitError,
@@ -35,12 +37,13 @@ __all__ = [
     "DENSIFY_CAP",
 ]
 
-# Largest order that is densified or eigensolved: spd_validate factors CSR
-# storage by dense Cholesky up to this order and probes it with random
-# vectors beyond, and the exact condition estimate needs a dense eigensolve.
-# Dense storage is Cholesky-factored at any order, by spd_validate and by the
-# direct-solve oracle; the oracle factors CSR storage sparsely.
+# Largest order whose exact condition a relaxed report quotes, by a dense
+# eigensolve (``verify.estimate_condition``); nothing else is capped by order.
 DENSIFY_CAP = 2000
+
+# Most float64 entries (1 GiB) in the band of a CSR matrix's Cholesky factor.
+# Its size (bandwidth + 1) * n is known before allocation; a larger one is refused.
+BAND_BUDGET = 2**27
 
 SYMMETRY_RTOL = 1e-12
 
@@ -211,52 +214,63 @@ def matvec(a: MatrixSPD, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpdValidation:
-    """Outcome of a successful positive-definiteness check.
-
-    ``method`` is ``"cholesky"`` for the factorization certificate or
-    ``"randomized"`` for the probe-vector fallback; ``probable`` is True
-    only for the latter, which certifies definiteness with high probability
-    rather than exactly.
-    """
+    """Outcome of a successful positive-definiteness check: ``method`` is
+    ``"cholesky"``, an exact certificate at every order and storage."""
 
     method: str
-    probable: bool
     order: int
 
 
-def spd_validate(a, *, densify_cap: int = DENSIFY_CAP, probes: int = 20,
-                 seed: int = 0) -> SpdValidation:
-    """Certify that ``a`` is symmetric positive definite.
-
-    Dense storage (and CSR up to ``densify_cap``) is checked by Cholesky
-    factorization: success means every pivot is strictly positive.  Larger
-    CSR matrices are probed with ``max(probes, 20)`` seeded random vectors
-    ``v``, requiring ``v.T @ A @ v > 0`` for each; that result is reported
-    as probable rather than certain.
-
-    Raises ``SymmetryError`` for asymmetric input and
-    ``NotPositiveDefiniteError`` when the check fails.
-    """
+def spd_validate(a) -> SpdValidation:
+    """Certify that ``a`` is symmetric positive definite by a Cholesky
+    factorization with every pivot strictly positive (see ``_cholesky``).
+    Raises ``SymmetryError`` for asymmetric input, ``NotPositiveDefiniteError``
+    when the factorization fails, and ``CgKitError`` when the band of a CSR
+    matrix would exceed ``BAND_BUDGET``."""
     m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    _cholesky(m)
+    return SpdValidation(method="cholesky", order=m.n)
 
-    if m.storage == "dense" or m.n <= densify_cap:
-        dense = m.to_dense()
+
+def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
+    """Lower Cholesky factor of ``m`` and the order ``perm`` it factors in:
+    NumPy's full factor for dense storage (``perm`` None); for CSR storage,
+    LAPACK's banded factor of ``m`` in reverse Cuthill-McKee order (row i is
+    row ``perm[i]`` of ``m``), after an O(nnz) check of the diagonal."""
+    if m.storage == "dense":
         try:
-            np.linalg.cholesky(dense)
+            return np.linalg.cholesky(m._dense), None
         except np.linalg.LinAlgError as err:
             raise NotPositiveDefiniteError(
                 f"Cholesky factorization failed: {err}") from err
-        return SpdValidation(method="cholesky", probable=False, order=m.n)
 
-    k = max(probes, 20)
-    rng = np.random.default_rng(seed)
-    for i in range(k):
-        v = rng.standard_normal(m.n)
-        q = dot(v, m.matvec(v))
-        if q <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"randomized probe {i} produced v.T A v = {q:.3e} <= 0")
-    return SpdValidation(method="randomized", probable=True, order=m.n)
+    from scipy.linalg import cholesky_banded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    a = m._csr
+    diag = a.diagonal()
+    if not np.all(diag > 0.0):
+        i = int(np.argmin(diag > 0.0))
+        raise NotPositiveDefiniteError(f"diagonal entry {i} is {diag[i]:.3e} <= 0")
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(m.n, dtype=perm.dtype)
+    # entry (i, j) goes to (inv[i], inv[j]); the lower band keeps (r, c) at [r - c, c]
+    cols = inv[a.indices]
+    offset = np.repeat(inv, np.diff(a.indptr)) - cols
+    lower = offset >= 0
+    width = int(offset.max()) + 1
+    if width * m.n > BAND_BUDGET:
+        raise CgKitError(f"banded Cholesky needs {width} x {m.n} entries after RCM "
+                         f"ordering ({width * m.n / 2**27:.1f} GiB), above the 1 GiB budget")
+    band = np.zeros((width, m.n), order="F")  # LAPACK's layout: no copy
+    band[offset[lower], cols[lower]] = a.data[lower]
+    try:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefiniteError(
+            f"banded Cholesky factorization failed: {err}") from err
+    return factor, perm
 
 
 @dataclass(frozen=True)
@@ -371,35 +385,15 @@ def _nonzero_sign(d: np.ndarray) -> np.ndarray:
 def solve_direct(a, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by a direct factorization.
 
-    This is the oracle route, independent of the iterative solver.  CSR
-    storage is factored by SciPy's sparse LU (SuperLU) at any order, without
-    densifying; a singular matrix raises :class:`NotPositiveDefiniteError`.
-    Dense storage is factored by Cholesky at any order, whose failure on a
-    non-positive pivot raises the same error.
+    This is the oracle route, independent of the iterative solver.  It
+    re-factors ``A`` with the Cholesky routine of :func:`spd_validate`, at
+    any order and with the same errors, and solves with the factor.
     """
-    if isinstance(a, MatrixSPD):
-        if a.storage == "csr":
-            return _solve_sparse(a, as_vector(rhs, a.n, name="right-hand side"))
-        dense = a.to_dense()
-    else:
-        dense = np.asarray(a, dtype=np.float64)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {dense.shape}")
-    rhs = as_vector(rhs, dense.shape[0], name="right-hand side")
-    try:
-        factor = cho_factor(dense)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefiniteError(
-            f"Cholesky factorization failed: {err}") from err
-    return cho_solve(factor, rhs)
-
-
-def _solve_sparse(a: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
-    from scipy.sparse.linalg import splu  # costly import, needed only here
-
-    try:
-        lu = splu(a._csr.tocsc())
-    except RuntimeError as err:  # SuperLU reports an exactly singular factor
-        raise NotPositiveDefiniteError(
-            f"sparse LU factorization failed: {err}") from err
-    return lu.solve(rhs)
+    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    rhs = as_vector(rhs, m.n, name="right-hand side")
+    factor, perm = _cholesky(m)
+    if perm is None:
+        return cho_solve((factor, True), rhs)
+    x = np.empty_like(rhs)
+    x[perm] = cho_solve_banded((factor, True), rhs[perm])
+    return x

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as _sparse
 
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
-from .errors import CgKitError, MatrixMarketError, ProblemSpecError
+from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
+                     ProblemSpecError)
 from .linalg import (MatrixSPD, SpectrumSpec, as_vector, dot, generate_spd,
                      spd_validate)
 from .verify import CheckResult, VerificationReport
@@ -209,7 +210,8 @@ def read_matrix_market(source) -> MatrixSPD:
     Accepts coordinate and array formats.  Files declared ``symmetric`` may
     store one triangle; off-diagonal entries are mirrored.  Files declared
     ``general`` must turn out symmetric (checked at construction).  The
-    result additionally passes :func:`~cgkit.linalg.spd_validate`.
+    result additionally passes :func:`~cgkit.linalg.spd_validate`, which a
+    coordinate file declaring fewer entries than its order fails at once.
 
     ``scipy.io.mmread`` reads the entries after cgkit has checked the file
     against the dialect it accepts: comment (``%``) and blank lines
@@ -265,12 +267,16 @@ def _read_entries(stream, fmt: str, symmetry: str):
     _check_entries(np.frombuffer(data, dtype=np.uint8, offset=len(head)),
                    3 if fmt == "coordinate" else 1, entries, lineno + 1)
     try:
-        return n, scipy.io.mmread(io.BytesIO(data))
+        parsed = scipy.io.mmread(io.BytesIO(data))
     except (ValueError, OverflowError) as err:
         located = _SCIPY_LINE.fullmatch(str(err))
         if located is None:
             raise MatrixMarketError(str(err)) from None
         raise MatrixMarketError(located[2], line=int(located[1])) from None
+    if entries < n:  # an SPD matrix stores every diagonal entry
+        raise NotPositiveDefiniteError(f"line {lineno}: {entries} entries cannot "
+                                       f"hold the {n} diagonal entries of an SPD matrix")
+    return n, parsed
 
 
 _COMMENT_LINE = re.compile(rb"\n[ \t\r]*%[^\n]*")

@@ -481,8 +481,8 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
 
     Asserts the run stopped by gradient tolerance in at most ``n``
     iterations, and that the final iterate matches the minimizer from a
-    direct solve of ``A x = -b`` (dense Cholesky or sparse direct solve,
-    see :func:`~cgkit.linalg.solve_direct`) to relative tolerance
+    direct solve of ``A x = -b`` (Cholesky, banded after RCM ordering for
+    CSR storage; :func:`~cgkit.linalg.solve_direct`) to relative tolerance
     ``tolerance_x``.  Both instances are indexed by the final iteration.
     """
     n = problem.n

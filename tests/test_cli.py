@@ -218,6 +218,18 @@ class TestGenerate:
         assert code == 1
 
 
+def test_import_leaves_costly_scipy_modules_unloaded():
+    # each is loaded by the command that needs it, not at start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, cgkit; print([m for m in ('scipy.io', 'scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_python_dash_m_runs_without_install():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

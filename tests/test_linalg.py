@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +15,15 @@ from cgkit import (
     MatrixSPD,
     NotPositiveDefiniteError,
     ProblemSpecError,
+    QuadraticProblem,
     SpectrumSpec,
     SymmetryError,
     builtin_problem,
     dot,
     generate_spd,
     matvec,
+    run_all_checks,
+    solve,
     solve_direct,
     spd_validate,
 )
@@ -179,7 +185,6 @@ class TestSpdValidate:
     def test_valid_diagonal(self):
         result = spd_validate(np.diag([2.0, 1.0]))
         assert result.method == "cholesky"
-        assert not result.probable
 
     def test_indefinite(self):
         # eigenvalues 3 and -1
@@ -195,20 +200,12 @@ class TestSpdValidate:
         result = spd_validate(m)
         assert result.method == "cholesky"
 
-    def test_sparse_randomized_path(self):
-        n = 40
-        diag = sparse.diags(np.linspace(1.0, 3.0, n), format="csr")
-        m = MatrixSPD.from_csr(diag.indptr, diag.indices, diag.data, n)
-        result = spd_validate(m, densify_cap=10)
-        assert result.method == "randomized"
-        assert result.probable
-
-    def test_sparse_randomized_catches_negative_definite(self):
+    def test_sparse_negative_diagonal_rejected(self):
         n = 40
         diag = sparse.diags(-np.ones(n), format="csr")
         m = MatrixSPD.from_csr(diag.indptr, diag.indices, diag.data, n)
         with pytest.raises(NotPositiveDefiniteError):
-            spd_validate(m, densify_cap=10)
+            spd_validate(m)
 
 
 class TestSpectrumSpec:
@@ -325,6 +322,141 @@ class TestSparseDirectSolve:
         m = MatrixSPD.from_csr([0, 1, 2, 3], [0, 1, 2], [1.0, 0.0, 2.0], 3)
         with pytest.raises(NotPositiveDefiniteError):
             solve_direct(m, [1.0, 1.0, 1.0])
+
+
+def _csr(a) -> MatrixSPD:
+    a = sparse.csr_array(a)
+    return MatrixSPD.from_csr(a.indptr, a.indices, a.data, a.shape[0])
+
+
+def _tridiagonal(diag) -> sparse.csr_array:
+    off = -np.ones(len(diag) - 1)
+    return sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
+
+
+DEFECTS = ("negative diagonal", "indefinite", "singular", "missing diagonal")
+
+
+@st.composite
+def not_spd(draw):
+    """A symmetric matrix above order 2000 that is not positive definite: a
+    tridiagonal (-1, d, -1) with one defect, symmetrically permuted at
+    random so that the ordering has a band to find.
+
+    * negative diagonal: one entry of d = 2 is negative;
+    * indefinite: d = 2 - delta > 0, whose smallest eigenvalue is about
+      -delta + (pi / (n + 1))**2 < 0;
+    * singular: the path-graph Laplacian (d = 1 at both ends, 2 inside),
+      whose last Cholesky pivot is exactly 0.  It is left in path order,
+      which reverse Cuthill-McKee finds again: in another order rounding
+      leaves that pivot tiny and of either sign;
+    * missing diagonal: d = 2 with one diagonal entry not stored.
+    """
+    n = draw(st.integers(2001, 2100))
+    defect = draw(st.sampled_from(DEFECTS))
+    k = draw(st.integers(0, n - 1))
+    diag = np.full(n, 2.0)
+    if defect == "negative diagonal":
+        diag[k] = -draw(st.floats(1e-6, 10.0))
+    elif defect == "indefinite":
+        diag -= draw(st.floats(1e-3, 1.0))
+    elif defect == "singular":
+        diag[[0, -1]] = 1.0
+    a = _tridiagonal(diag).tocoo()
+    keep = (a.row != k) | (a.col != k) if defect == "missing diagonal" else slice(None)
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = np.arange(n) if defect == "singular" else np.random.default_rng(seed).permutation(n)
+    return defect, sparse.csr_array((a.data[keep], (p[a.row[keep]], p[a.col[keep]])),
+                                    shape=(n, n))
+
+
+class TestCholeskyCertificate:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @settings(max_examples=10, deadline=None)
+    @given(case=not_spd())
+    def test_rejects_matrices_that_are_not_spd(self, storage, case):
+        _, a = case
+        m = MatrixSPD.from_dense(a.toarray()) if storage == "dense" else _csr(a)
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_validate(m)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: sparse.diags_array(np.where(np.arange(n) == n // 2, -1.0, 1.0)),
+        lambda n: _tridiagonal(np.full(n, 2.0 - 1e-3)),
+    ], ids=["signed-diagonal", "shifted-laplacian"])
+    def test_indefinite_csr_of_order_5000(self, build):
+        m = _csr(build(5000))
+        for certify in (spd_validate, lambda a: solve_direct(a, np.ones(a.n)),
+                        lambda a: QuadraticProblem(a, np.ones(a.n))):
+            with pytest.raises(NotPositiveDefiniteError):
+                certify(m)
+
+    def test_band_above_budget_is_refused_before_allocation(self):
+        n = 20_000
+        rng = np.random.default_rng(0)
+        rows, cols = rng.integers(0, n, (2, 5 * n))
+        off = sparse.coo_array((rng.uniform(-1.0, 1.0, 5 * n), (rows, cols)), shape=(n, n))
+        a = (off + off.T).tocsr()
+        # diagonally dominant, so SPD: the refusal is not a verdict
+        m = _csr(a + sparse.diags_array(abs(a).sum(axis=1) + 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CgKitError) as info:
+                spd_validate(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(info.value) is CgKitError
+        assert f"x {n} entries" in str(info.value) and "GiB" in str(info.value)
+        assert peak < 50e6
+        with pytest.raises(CgKitError, match="above the 1 GiB budget"):
+            solve_direct(m, np.ones(n))
+
+    def test_certificate_and_oracle_need_no_sparse_lu(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def refuse(*_args, **_kwargs):
+            raise RuntimeError("sparse LU is not part of the certificate")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+        n = 4000
+        values = np.array([1.0, 1.7, 2.4, 3.3, 4.1, 5.6, 7.2, 10.0])
+        diagonal = builtin_problem(BuiltinProblemSpec(
+            family="diagonal", n=n, eigenvalues=tuple(values[np.arange(n) % 8]),
+            b_mode="random", b_seed=3))
+        _, trace = solve(diagonal)
+        finite = run_all_checks(trace, diagonal).check("finite_termination")
+        assert finite.passed and finite.note == "", finite.note
+
+        n = 3000
+        laplacian = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=n))
+        bands = np.array([np.r_[0.0, -np.ones(n - 1)], np.full(n, 2.0),
+                          np.r_[-np.ones(n - 1), 0.0]])
+        expected = scipy.linalg.solve_banded((1, 1), bands, -laplacian.b)
+        x = laplacian.direct_solution()
+        assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    def test_certificate_memory_is_linear_in_the_order(self):
+        spd_validate(_csr(np.eye(2)))  # imports are not counted
+        n = 100_000
+        a = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=n)).A
+        tracemalloc.start()
+        try:
+            assert spd_validate(a).method == "cholesky"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_oracle_undoes_the_ordering(self, seed):
+        n = 300
+        rng = np.random.default_rng(seed)
+        p = rng.permutation(n)
+        lap = _tridiagonal(np.full(n, 2.0)).tocoo()
+        m = _csr(sparse.coo_array((lap.data, (p[lap.row], p[lap.col])), shape=(n, n)))
+        x_true = rng.standard_normal(n)
+        np.testing.assert_allclose(solve_direct(m, m.matvec(x_true)), x_true, rtol=1e-9)
 
 
 class TestMatmat:

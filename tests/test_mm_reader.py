@@ -11,6 +11,7 @@ reader must raise ``MatrixMarketError`` at the mutated line.
 import io
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgkit import MatrixMarketError
+from cgkit import MatrixMarketError, NotPositiveDefiniteError
 from cgkit.problems_io import read_matrix_market, read_vector_file
 from mm_reference import read_reference
 
@@ -282,6 +283,23 @@ class TestRegressions:
         with pytest.raises(MatrixMarketError) as info:
             read_new(COORD + "1 1 1\n1 1 2.0\n\n1 1 3.0\n")
         assert info.value.line == 5
+
+    def test_fewer_entries_than_the_order(self):
+        # 74 bytes declaring order 2e6: an SPD matrix stores every diagonal
+        # entry, so the file is refused before a matrix of that order is built
+        text = ("%%MatrixMarket matrix coordinate real symmetric\n"
+                "2000000 2000000 1\n"
+                "1 1 2.0\n")
+        assert len(text) == 74
+        read_new(COORD + "1 1 1\n1 1 2.0\n")  # imports are not counted
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotPositiveDefiniteError, match="^line 2: "):
+                read_new(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_two_values_on_one_array_line(self):
         with pytest.raises(MatrixMarketError) as info:

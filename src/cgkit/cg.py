@@ -16,12 +16,14 @@ Four direction-coupling rules (FR, HS, PRP, DY) are implemented; with exact
 line search on a quadratic they agree.
 
 Every solve can record an :class:`IterationTrace`, which is what the
-``cgkit.verify`` checks consume.  It stores, per iteration, the gradient
-``g_k`` and the cached product ``A d_k`` with the scalars ``alpha_k`` and
-``beta_k``, and ``x_0`` once.  Iterates and directions are fixed by those:
-the trace replays ``x_{k+1} = x_k + alpha_k d_k`` and
-``d_k = -g_k + beta_k d_{k-1}`` with the solver's own ufunc sequences, so
-they come back bit for bit, and only for callers that read them.
+``cgkit.verify`` checks consume.  It stores, per iteration, the cached
+product ``A d_k`` with the scalars ``alpha_k`` and ``beta_k``, and ``x_0``
+and ``g_0`` once.  Gradients, iterates and directions are fixed by those:
+the trace replays ``x_{k+1} = x_k + alpha_k d_k``, the solver's own
+gradient update (the recurrence ``g_k + alpha_k A d_k``, or ``A x_{k+1} + b``
+in explicit mode) and ``d_k = -g_k + beta_k d_{k-1}`` with the solver's own
+ufunc sequences, so they come back bit for bit, and only for callers that
+read them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -204,12 +206,15 @@ class IterationTrace:
     the numerical minimizer, where no step (and none of the per-iteration
     identities' hypotheses) applies.
 
-    A traced :func:`solve` stores ``x_0``, the rows ``g_k`` and ``A d_k``
+    A traced :func:`solve` stores ``x_0`` and ``g_0``, the rows ``A d_k``
     and the scalars ``alpha_k``, ``beta_k``, and its ``records`` is a lazy
     sequence over them: ``len()`` costs nothing, and the first item access
-    replays every ``x_k`` and ``d_k`` once.  :meth:`columns` hands out
-    stacked copies instead, replaying only what is asked for.  A trace
-    built by hand from a tuple of records stacks the records' own vectors.
+    replays every ``g_k``, ``x_k`` and ``d_k`` once and keeps them.
+    :meth:`steps` hands out the named vectors and scalars one step at a
+    time, and :meth:`columns` stacked copies of them, replaying only what
+    is asked for.  In explicit gradient mode each replayed ``g_k`` costs
+    the matvec ``A x_k`` the solve paid.  A trace built by hand from a
+    tuple of records stacks the records' own vectors.
     """
 
     records: Sequence[IterationRecord]
@@ -232,20 +237,47 @@ class IterationTrace:
     def final_grad_norm(self) -> float:
         return float(np.linalg.norm(self.final_g))
 
-    def columns(self, *names: str) -> tuple[np.ndarray, ...]:
-        """Fresh arrays, one per name, over the recorded iterations.
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes of the per-iteration vectors the trace holds.
 
-        ``"X"``, ``"G"``, ``"D"`` and ``"AD"`` stack ``x_k``, ``g_k``,
-        ``d_k`` and ``A d_k`` as the rows of a (K, n) array; ``"alpha"`` and
-        ``"beta"`` are length-K arrays, NaN where no ``beta`` was recorded
-        (k = 0).  A traced solve replays X and D, together in one pass when
-        both are named.  A record lacking a named vector or its stepsize
-        raises :class:`~cgkit.errors.IncompleteTraceError`.
+        For a traced solve that is ``x_0``, ``g_0`` and the K rows
+        ``A d_k``, (K + 2) n float64 values; rows the last block reserved
+        past K are never written and not counted, and replayed vectors are
+        not held.  A trace built by hand counts its records' vectors.
         """
         if isinstance(self.records, _TraceRecords):
-            return self.records.columns(names)
-        return tuple(_stack_records(self.records, name, self.final_x.size)
-                     for name in names)
+            return self.records.stored_bytes
+        return sum(vector.nbytes for rec in self.records
+                   for vector in (rec.x, rec.g, rec.d, rec.Ad) if vector is not None)
+
+    def steps(self, *names: str) -> Iterator[tuple]:
+        """One tuple of the named values per recorded iteration, in order.
+
+        ``"X"``, ``"G"``, ``"D"`` and ``"AD"`` name the read-only vectors
+        ``x_k``, ``g_k``, ``d_k`` and ``A d_k``; ``"alpha"`` and ``"beta"``
+        the scalars, ``beta`` NaN where none was recorded (k = 0).  A
+        traced solve replays X, G and D one step at a time, computing only
+        what the names need (in explicit gradient mode G needs the
+        iterates, and a matvec per step): a caller that keeps no step's
+        vectors holds a few of them at a time, not K.  A record lacking a
+        named vector or its stepsize raises
+        :class:`~cgkit.errors.IncompleteTraceError`.
+        """
+        if isinstance(self.records, _TraceRecords):
+            return self.records.steps(names)
+        return _record_steps(self.records, names)
+
+    def columns(self, *names: str) -> tuple[np.ndarray, ...]:
+        """Fresh arrays, one per name, stacking :meth:`steps`: a vector name
+        gives a (K, n) array of rows, a scalar name a length-K array."""
+        K, n = len(self.records), self.final_x.size
+        out = tuple(np.empty((K,) if name in ("alpha", "beta") else (K, n))
+                    for name in names)
+        for k, values in enumerate(self.steps(*names)):
+            for column, value in zip(out, values):
+                column[k] = value
+        return out
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:
@@ -327,9 +359,23 @@ def _direction(g, d_prev, beta_k, out: np.ndarray, tmp: np.ndarray) -> np.ndarra
 
 def _add_scaled(u, v, s: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``u + s v`` into ``out`` (which may be ``u``): the rounding of
-    ``x_{k+1} = x_k + alpha_k d_k`` and of the recurrence ``g + alpha_k A d_k``
-    that the solver and the trace replay share."""
+    ``x_{k+1} = x_k + alpha_k d_k`` and of the recurrence ``g + alpha_k A d_k``."""
     return np.add(u, np.multiply(v, s, out=tmp), out=out)
+
+
+def _advance(problem: QuadraticProblem, update: GradientUpdate, alpha: float,
+             d, Ad, x, g, x_out, g_out: np.ndarray, tmp: np.ndarray):
+    """``(x_{k+1}, g_{k+1})`` from step ``k``, into ``x_out`` and ``g_out``
+    (which may be ``x`` and ``g``): ``x_k + alpha_k d_k``, and the gradient
+    by the recurrence ``g_k + alpha_k A d_k`` or as ``A x_{k+1} + b``.  With
+    ``x`` None (the recurrence only) the iterate is skipped and comes back
+    None.  The solver and the trace replay both advance here, so a
+    replayed step equals the solved one to the bit."""
+    if x is not None:
+        x = _add_scaled(x, d, alpha, x_out, tmp)
+    if update == GradientUpdate.RECURRENCE:
+        return x, _add_scaled(g, Ad, alpha, g_out, tmp)
+    return x, problem._gradient(x, out=g_out)
 
 
 def stepsize_exact(g_k, d_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
@@ -381,8 +427,8 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
     (``prev`` None) the caller has put ``x_0`` in ``x`` and ``g_0`` in
     ``g``.  Otherwise ``x`` and ``d`` hold ``x_{k-1}`` and ``d_{k-1}``,
     ``prev = (g_{k-1}, A d_{k-1}, alpha_{k-1}, g_{k-1} . g_{k-1})``, ``x``
-    is advanced in place to ``x_k`` and ``g_k`` goes into ``g`` (by the
-    recurrence ``g + alpha Ad`` or as ``A x_k + b``).  ``tmp`` is scratch.
+    is advanced in place to ``x_k`` and ``g_k`` goes into ``g`` by
+    :func:`_advance`, the update the trace replays.  ``tmp`` is scratch.
 
     Returns ``(g_k . g_k, alpha_k, beta_k, Ad, reason)``.  When
     ``||g_k|| <= tol`` or ``k >= cap`` the step is terminal: ``reason`` says
@@ -394,11 +440,8 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
     """
     if prev is not None:
         g_prev, Ad_prev, alpha_prev, gg_prev = prev
-        _add_scaled(x, d, alpha_prev, x, tmp)
-        if config.gradient_update == GradientUpdate.RECURRENCE:
-            _add_scaled(g_prev, Ad_prev, alpha_prev, g, tmp)
-        else:
-            problem._gradient(x, out=g)
+        _advance(problem, config.gradient_update, alpha_prev, d, Ad_prev,
+                 x, g_prev, x, g, tmp)
     gg = dot(g, g)
     reason = None
     if math.sqrt(gg) <= tol:  # sqrt(g . g) is np.linalg.norm(g) to the bit
@@ -448,17 +491,20 @@ def _block_rows(n: int, count: int, blocks: list):
 
 
 class _TraceRecords(Sequence):
-    """The records of a traced solve, over what it stored: ``x_0``, the
-    first K rows ``g_k`` and ``A d_k`` of their blocks, and ``alpha_k`` and
-    ``beta_k``.  The first item access replays ``x_k`` and ``d_k``, once."""
+    """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
+    the first K rows ``A d_k`` of their blocks, and ``alpha_k`` and
+    ``beta_k``.  The first item access replays every step once and keeps
+    the records; :meth:`steps` replays without keeping them."""
 
-    __slots__ = ("_x0", "_g_blocks", "_ad_blocks", "_alpha", "_beta", "_items")
+    __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
+                 "_beta", "_items")
 
-    def __init__(self, x0, g_blocks, ad_blocks, alphas, betas):
-        for block in (*g_blocks, *ad_blocks):
-            block.setflags(write=False)
-        self._x0 = x0
-        self._g_blocks, self._ad_blocks = g_blocks, ad_blocks
+    def __init__(self, problem, update, x0, g0, ad_blocks, alphas, betas):
+        for array in (x0, g0, *ad_blocks):
+            array.setflags(write=False)
+        self._problem, self._update = problem, update
+        self._x0, self._g0 = x0, g0
+        self._ad_blocks = ad_blocks
         self._alpha = alphas
         self._beta = betas  # None at k = 0
         self._items = None
@@ -468,12 +514,11 @@ class _TraceRecords(Sequence):
 
     def __getitem__(self, index):
         if self._items is None:
-            X, D = self._replay(True, True)
             self._items = tuple(
-                IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha, beta=beta_k, Ad=Ad)
-                for k, (x, g, d, Ad, alpha, beta_k) in enumerate(zip(
-                    X, self._rows(self._g_blocks), D, self._rows(self._ad_blocks),
-                    self._alpha, self._beta)))
+                IterationRecord(k=k, x=x, g=g, d=d, alpha=self._alpha[k],
+                                beta=self._beta[k], Ad=Ad)
+                for k, ((x, g, d), Ad) in enumerate(zip(self._replay(True, True),
+                                                        self._ad_rows())))
         return self._items[index]
 
     def __eq__(self, other):
@@ -481,60 +526,63 @@ class _TraceRecords(Sequence):
             return NotImplemented
         return len(self) == len(other) and (not self or tuple(self) == tuple(other))
 
-    def _rows(self, blocks):
-        return itertools.islice(itertools.chain.from_iterable(blocks), len(self))
+    @property
+    def stored_bytes(self) -> int:
+        return (len(self) + 2) * self._x0.nbytes
 
-    def _stacked(self, blocks) -> np.ndarray:
-        out = np.empty((len(self), self._x0.size))
-        for k, row in enumerate(self._rows(blocks)):
-            out[k] = row
-        return out
+    def _ad_rows(self):
+        return itertools.islice(itertools.chain.from_iterable(self._ad_blocks), len(self))
 
     def _replay(self, want_x: bool, want_d: bool):
-        """Stacked ``x_k`` and ``d_k`` (None where not wanted), rebuilt in
-        one pass by the solver's own updates from ``x_0``, ``g_k``,
-        ``alpha_k`` and ``beta_k``, and so equal to the solve's to the bit."""
-        if not (want_x or want_d):
-            return None, None
-        K, n = len(self), self._x0.size
-        X = np.empty((K, n)) if want_x else None
-        D = np.empty((K, n)) if want_d else None
-        work = None if want_d else np.empty(n)
+        """``(x_k, g_k, d_k)`` for each step, rebuilt from ``x_0``, ``g_0``,
+        ``A d_k``, ``alpha_k`` and ``beta_k`` by the solver's own updates,
+        and so equal to the solve's to the bit.  Each step's vectors are
+        fresh read-only arrays the caller may keep; ``x_k`` and ``d_k`` are
+        None when neither wanted nor needed (an explicit gradient needs the
+        iterate)."""
+        need_x = want_x or self._update == GradientUpdate.EXPLICIT
+        need_d = want_d or need_x
+        n = self._x0.size
         tmp = np.empty(n)
-        d = None
-        for k, g in enumerate(self._rows(self._g_blocks)):
-            if want_x:
-                if k == 0:
-                    np.copyto(X[0], self._x0)
-                else:
-                    _add_scaled(X[k - 1], d, self._alpha[k - 1], X[k], tmp)
-            d = _direction(g, d, self._beta[k], D[k] if want_d else work, tmp)
-        return X, D
+        x, g, d, Ad_prev = self._x0 if need_x else None, self._g0, None, None
+        for k, Ad in enumerate(self._ad_rows()):
+            if k:
+                x_out = np.empty(n) if need_x else None
+                x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
+                                Ad_prev, x, g, x_out, np.empty(n), tmp)
+                g.setflags(write=False)
+                if need_x:
+                    x.setflags(write=False)
+            if need_d:
+                d = _direction(g, d, self._beta[k], np.empty(n), tmp)
+                d.setflags(write=False)
+            yield x, g, d
+            Ad_prev = Ad
 
-    def columns(self, names) -> tuple[np.ndarray, ...]:
-        """:meth:`IterationTrace.columns` from the stored blocks."""
-        X, D = self._replay("X" in names, "D" in names)
-        made = {"X": lambda: X, "D": lambda: D,
-                "G": lambda: self._stacked(self._g_blocks),
-                "AD": lambda: self._stacked(self._ad_blocks),
-                "alpha": lambda: np.array(self._alpha, dtype=np.float64),
-                "beta": lambda: np.array(self._beta, dtype=np.float64)}  # NaN at k = 0
-        return tuple(made[name]() for name in names)
+    def steps(self, names):
+        """:meth:`IterationTrace.steps` over the stored blocks."""
+        picks = [tuple(_RECORD_FIELDS).index(name) for name in names]
+        replay = (self._replay("X" in names, "D" in names) if {"X", "G", "D"} & set(names)
+                  else itertools.repeat((None, None, None)))
+        for (x, g, d), Ad, alpha, beta_k in zip(replay, self._ad_rows(), self._alpha,
+                                                self._beta):
+            values = (x, g, d, Ad, alpha, math.nan if beta_k is None else beta_k)
+            yield tuple(map(values.__getitem__, picks))
 
 
 _RECORD_FIELDS = {"X": "x", "G": "g", "D": "d", "AD": "Ad", "alpha": "alpha",
                   "beta": "beta"}
 
 
-def _stack_records(records, name: str, n: int) -> np.ndarray:
-    """One :meth:`IterationTrace.columns` column of hand-built records."""
-    attr = _RECORD_FIELDS[name]
-    values = [getattr(rec, attr) for rec in records]
-    missing = [rec.k for rec, value in zip(records, values) if value is None]
-    if missing and name != "beta":  # an unrecorded beta becomes NaN
-        raise IncompleteTraceError(f"record {missing[0]} has no {attr}")
-    shape = (len(values),) if name in ("alpha", "beta") else (len(values), n)
-    return np.array(values, dtype=np.float64).reshape(shape)
+def _record_steps(records, names):
+    """:meth:`IterationTrace.steps` over hand-built records."""
+    attrs = [_RECORD_FIELDS[name] for name in names]
+    for rec in records:
+        values = tuple(getattr(rec, attr) for attr in attrs)
+        for attr, value in zip(attrs, values):
+            if value is None and attr != "beta":  # an unrecorded beta is NaN
+                raise IncompleteTraceError(f"record {rec.k} has no {attr}")
+        yield tuple(math.nan if value is None else value for value in values)
 
 
 def initial_record(problem: QuadraticProblem, x_0, config: SolverConfig | None = None) -> IterationRecord:
@@ -588,27 +636,23 @@ def solve(problem: QuadraticProblem, x_0=None,
     Stops when ``||g_k|| <= tol``, at ``max_iterations``, or on breakdown;
     the reason lands in ``trace.termination_reason`` (a breakdown is never
     a silent wrong answer).  The iterate and the direction are updated in
-    place.  With ``config.record_trace`` each step writes ``g_k`` and
-    ``A d_k`` into rows of blocks allocated as the run proceeds, and the
-    trace keeps those with ``x_0``, ``alpha_k`` and ``beta_k``; its records
-    replay ``x_k`` and ``d_k`` from them when read.  Without it, the
-    gradient alternates between two rows and ``A d`` reuses one.
+    place, and the gradient alternates between two rows.  With
+    ``config.record_trace`` each step writes ``A d_k`` into a row of blocks
+    allocated as the run proceeds, and the trace keeps those with ``x_0``,
+    ``g_0``, ``alpha_k`` and ``beta_k``; its records replay ``g_k``, ``x_k``
+    and ``d_k`` from them when read.  Without it, ``A d`` reuses one row.
     """
     config = config or SolverConfig()
     n = problem.n
     cap = config.max_iterations if config.max_iterations is not None else n
     x, d, tmp = np.empty(n), np.empty(n), np.empty(n)
-    g_blocks: list[np.ndarray] = []
+    g_rows = itertools.cycle(np.empty((2, n)))
     ad_blocks: list[np.ndarray] = []
-    if config.record_trace:
-        g_rows = _block_rows(n, cap + 1, g_blocks)
-        new_ad = _block_rows(n, cap, ad_blocks).__next__
-    else:
-        g_rows = itertools.cycle(np.empty((2, n)))
-        new_ad = itertools.repeat(np.empty(n)).__next__
+    new_ad = (_block_rows(n, cap, ad_blocks).__next__ if config.record_trace
+              else itertools.repeat(np.empty(n)).__next__)
     g = next(g_rows)
     _start(problem, x_0, x, g)
-    x0 = x.copy() if config.record_trace else None
+    start = (x.copy(), g.copy()) if config.record_trace else None
     tol = (config.grad_tolerance if config.grad_tolerance is not None
            else DEFAULT_RELATIVE_TOLERANCE * float(np.linalg.norm(g)))
 
@@ -632,8 +676,9 @@ def solve(problem: QuadraticProblem, x_0=None,
 
     records = ()
     if config.record_trace:
-        records = _TraceRecords(x0, g_blocks, ad_blocks, alphas, betas)
-    # final_g is a copy, so that keeping it does not keep a block of rows alive
+        records = _TraceRecords(problem, config.gradient_update, *start, ad_blocks,
+                                alphas, betas)
+    # final_g is a copy, so that keeping it does not keep the ring alive
     trace = IterationTrace(records, x, g.copy(), len(alphas), reason, tol,
                            breakdown=breakdown_note)
     return x, trace

@@ -526,17 +526,25 @@ class TraceDocument:
         }
         if timestamp:
             metadata["created"] = datetime.now(timezone.utc).isoformat()
-        X, G, alpha, beta = trace.columns("X", "G", "alpha", "beta")
-        iterations = [{
-            "k": k,
-            "alpha": float(alpha[k]),
-            "beta": None if k == 0 else float(beta[k]),
-            "grad_norm": float(np.linalg.norm(G[k])),
-            # f(x) = x.(g + b) / 2 since g = A x + b: the recorded
-            # gradient saves a matvec per record
-            "objective": 0.5 * dot(X[k], G[k] + problem.b),
-        } for k in range(len(G))]
-        del X, G  # the vectors below come from the records
+        iterations = []
+        vectors = [] if include_vectors else None
+        # one step at a time: a traced solve replays each step's vectors as
+        # it is reached, and none is kept past its rows
+        for k, (alpha, beta, x, g, d) in enumerate(
+                trace.steps("alpha", "beta", "X", "G", "D")):
+            iterations.append({
+                "k": k,
+                "alpha": float(alpha),
+                "beta": None if k == 0 else float(beta),
+                "grad_norm": float(np.linalg.norm(g)),
+                # f(x) = x.(g + b) / 2 since g = A x + b: the trace's
+                # gradient saves a matvec per record
+                "objective": 0.5 * dot(x, g + problem.b),
+            })
+            if include_vectors:
+                vectors.append({"k": k, "x": [float(v) for v in x],
+                                "g": [float(v) for v in g],
+                                "d": [float(v) for v in d]})
         final = {
             "iterations": trace.terminated_at,
             "termination_reason": trace.termination_reason.value,
@@ -546,14 +554,6 @@ class TraceDocument:
         }
         if trace.breakdown:
             final["breakdown"] = trace.breakdown
-        vectors = None
-        if include_vectors:
-            vectors = [{
-                "k": rec.k,
-                "x": [float(v) for v in rec.x],
-                "g": [float(v) for v in rec.g],
-                "d": [float(v) for v in rec.d] if rec.d is not None else None,
-            } for rec in trace.records]
         verification = report_to_dict(report) if report is not None else None
         return cls(metadata=metadata, iterations=iterations, final=final,
                    vectors=vectors, verification=verification)

@@ -26,11 +26,13 @@ A; only a relaxed report quotes the exact dense value, up to
 ``DENSIFY_CAP``.
 
 The checks are linear algebra on the recorded vectors stacked as rows of
-(K, n) arrays G, D and AD, which the trace hands out as columns: G and AD
-as recorded, D replayed bit for bit from G and the recorded couplings
-(the iterates are never needed).  Each pairwise family is one K x K Gram
-product (D ADᵀ, G Dᵀ, G Gᵀ and G (AG)ᵀ, with AG one block product by A),
-and the per-iteration families are row-wise dot products.
+(K, n) arrays G, D and AD, which the trace hands out as columns: AD as
+recorded, G and D replayed bit for bit by the solver's own updates from
+g_0, AD and the recorded stepsizes and couplings (the iterates are needed
+only in explicit gradient mode, at one matvec per step).  Each pairwise
+family is one K x K Gram product (D ADᵀ, G Dᵀ, G Gᵀ and G (AG)ᵀ, with AG
+one block product by A), and the per-iteration families are row-wise dot
+products.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from cgkit import (
     MatrixSPD,
     QuadraticProblem,
     SolverConfig,
+    SpectrumSpec,
     StepsizeRule,
     TerminationReason,
+    TraceDocument,
     beta,
     builtin_problem,
     direction,
@@ -342,8 +345,9 @@ class TestSingleCore:
 
     @staticmethod
     def _check_records_equal_the_step_chain(rules, storage, start):
-        # the records replay x_k and d_k from x_0 and the recorded g_k,
-        # alpha_k and beta_k; the step chain computes them afresh
+        # the records replay g_k, x_k and d_k from x_0, g_0 and the
+        # recorded A d_k, alpha_k and beta_k; the step chain computes them
+        # afresh
         problem = _in_storage(make_spd_problem(np.linspace(1.0, 10.0, 30), seed=9),
                               storage)
         x_0 = (np.zeros(problem.n) if start == "zero"
@@ -385,14 +389,14 @@ class TestSingleCore:
         (_, trace), peak = _peak(lambda: solve(problem))
         assert trace.terminated_at == 4
         assert trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE
-        # the first blocks of 8 g and 8 A d rows and a few work vectors,
-        # where storage sized by the cap would take 2 (n + 1) vectors
-        assert peak < 24 * n * 8
+        # the first block of 8 A d rows and a few work vectors (16 in all),
+        # where storage sized by the cap would take n vectors
+        assert peak < 18 * n * 8
 
 
 class TestTraceMemory:
-    """A traced solve stores two vectors per step, g_k and A d_k; x_k and
-    d_k are replayed only for callers that read them."""
+    """A traced solve stores one vector per step, A d_k; g_k, x_k and d_k
+    are replayed only for callers that read them."""
 
     n, cap = 50_000, 100
 
@@ -400,20 +404,40 @@ class TestTraceMemory:
     def laplacian(self):
         return builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=self.n))
 
-    def test_traced_solve_stores_two_vectors_per_step(self, laplacian):
+    def test_traced_solve_stores_one_vector_per_step(self, laplacian):
         (_, trace), peak = _peak(
             lambda: solve(laplacian, config=SolverConfig(max_iterations=self.cap)))
         K = trace.terminated_at
         assert K == self.cap
-        # 4 (K + 1) vectors when x and d were stored too
-        assert peak <= (2 * K + 16) * 8 * self.n
+        # 2 K vectors when g was stored too, 4 (K + 1) with x and d
+        assert peak <= (K + 16) * 8 * self.n
+
+    def test_stored_bytes_counts_the_held_vectors(self, laplacian):
+        _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
+        # the A d_k rows, x_0 and g_0
+        assert trace.stored_bytes == (self.cap + 2) * 8 * self.n
+        by_hand = replace(trace, records=tuple(trace.records))
+        # a hand-built trace holds x, g, d and A d for every record
+        assert by_hand.stored_bytes == 4 * self.cap * 8 * self.n
+        _, untraced = solve(laplacian, config=SolverConfig(max_iterations=self.cap,
+                                                           record_trace=False))
+        assert untraced.stored_bytes == 0
+
+    def test_document_replays_one_step_at_a_time(self, laplacian):
+        config = SolverConfig(max_iterations=self.cap)
+        _, trace = solve(laplacian, config=config)
+        doc, peak = _peak(lambda: TraceDocument.from_solve(laplacian, config, trace,
+                                                           timestamp=False))
+        assert len(doc.iterations) == self.cap
+        # stacking the replayed X and G took 2 K vectors (201 in all)
+        assert peak <= 16 * 8 * self.n
 
     def test_counting_records_replays_nothing(self, laplacian):
         _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
         len(trace.records)  # warm up the call path
         length, peak = _peak(lambda: len(trace.records))
         assert length == self.cap
-        assert peak < 1024  # a replay would take 2 K vectors of 400 kB
+        assert peak < 1024  # a replay would take 3 K vectors of 400 kB
         equal, peak = _peak(lambda: trace.records == ())
         assert not equal and peak < 1024
 
@@ -421,17 +445,56 @@ class TestTraceMemory:
         _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
         _, peak = _peak(lambda: run_all_checks(trace, laplacian))
         # stacking G, D and AD from (x, g, d, Ad) records peaked at 501
-        # vectors; the trace now stacks G and AD and replays D alone
+        # vectors; the trace now stacks AD and replays G and D
         assert peak <= 501 * 8 * self.n
 
-    def test_replayed_vectors_are_the_solved_ones(self, laplacian):
-        # the iterate after the last record is the answer, to the bit
-        x, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
-        X, D, alpha = trace.columns("X", "D", "alpha")
+    def test_steps_hand_out_the_columns_rows_read_only(self, laplacian):
+        _, trace = solve(laplacian, config=SolverConfig(max_iterations=20))
+        X, G, beta = trace.columns("X", "G", "beta")
+        assert np.isnan(beta[0])
+        for k, (g, x, b) in enumerate(trace.steps("G", "X", "beta")):
+            np.testing.assert_array_equal(g, G[k])
+            np.testing.assert_array_equal(x, X[k])
+            assert b == beta[k] or k == 0
+            for vector in (g, x):
+                with pytest.raises(ValueError):
+                    vector[0] = 7.0
+
+    @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
+    def test_replayed_vectors_are_the_solved_ones(self, laplacian, update):
+        # the iterate and gradient after the last record are the answer's,
+        # to the bit
+        config = SolverConfig(max_iterations=self.cap, gradient_update=update)
+        x, trace = solve(laplacian, config=config)
+        X, G, D, AD, alpha = trace.columns("X", "G", "D", "AD", "alpha")
         last = X[-1] + np.multiply(D[-1], alpha[-1])
         np.testing.assert_array_equal(last, x)
+        last_g = (G[-1] + np.multiply(AD[-1], alpha[-1])
+                  if update == GradientUpdate.RECURRENCE else laplacian.gradient(last))
+        np.testing.assert_array_equal(last_g, trace.final_g)
         np.testing.assert_array_equal(X, [rec.x for rec in trace.records])
+        np.testing.assert_array_equal(G, [rec.g for rec in trace.records])
         np.testing.assert_array_equal(D, [rec.d for rec in trace.records])
+        # a column asked for alone is the one replayed with the others
+        np.testing.assert_array_equal(trace.columns("G")[0], G)
+
+
+def test_explicit_replay_equals_the_step_chain_under_threaded_blas():
+    # at this order the dense matvec runs on several BLAS threads: the
+    # replayed gradients A x_k + b must still equal the step chain's
+    problem = builtin_problem(BuiltinProblemSpec(
+        family="random_spd", n=1537, seed=1, b_mode="random", b_seed=1,
+        spectrum=SpectrumSpec(lam_min=1.0, lam_max=100.0)))
+    config = SolverConfig(gradient_update="explicit", max_iterations=60)
+    _, trace = solve(problem, config=config)
+    X, G, D = trace.columns("X", "G", "D")
+    rec = initial_record(problem, None, config)
+    for k in range(trace.terminated_at):
+        np.testing.assert_array_equal(rec.x, X[k])
+        np.testing.assert_array_equal(rec.g, G[k])
+        np.testing.assert_array_equal(rec.d, D[k])
+        rec = step(problem, rec, config)
+    np.testing.assert_array_equal(rec.g, trace.final_g)
 
 
 class TestSolveProperties:

@@ -383,7 +383,7 @@ class TestTraceDocuments:
     @pytest.mark.parametrize("update", ["recurrence", "explicit"])
     def test_document_equals_the_one_from_hand_built_records(self, update,
                                                              include_vectors):
-        # a solver trace replays x_k (and d_k) from what it stored; a
+        # a solver trace replays g_k, x_k and d_k from what it stored; a
         # hand-built trace of the same records stacks their own vectors
         problem = builtin_problem(BuiltinProblemSpec(
             family="random_spd", n=40, seed=2, b_mode="random", b_seed=2,

@@ -38,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from .errors import BreakdownError, DimensionError, IncompleteTraceError
-from .linalg import MatrixSPD, as_vector, dot, solve_direct, spd_validate
+from .linalg import MatrixSPD, _certified_solve, as_vector, dot
 
 __all__ = [
     "StepsizeRule",
@@ -95,11 +95,13 @@ class TerminationReason(str, enum.Enum):
 class QuadraticProblem:
     """SPD quadratic ``f(x) = 0.5 x.T A x + b.T x``.
 
-    Construction validates dimensions and runs :func:`~cgkit.linalg.spd_validate`
-    on ``A``; the unique minimizer solves ``A x = -b``.
+    Construction validates dimensions and factors ``A`` once: the Cholesky
+    factor of :func:`~cgkit.linalg.spd_validate` gives the certificate
+    ``validation`` and the unique minimizer, the solution of ``A x = -b``,
+    which is kept read-only (``n`` floats) while the factor is dropped.
     """
 
-    __slots__ = ("A", "b", "validation")
+    __slots__ = ("A", "b", "validation", "_x_star")
 
     def __init__(self, A: MatrixSPD, b):
         if not isinstance(A, MatrixSPD):
@@ -107,7 +109,8 @@ class QuadraticProblem:
         self.A = A
         self.b = as_vector(b, A.n, name="b")
         self.b.setflags(write=False)
-        self.validation = spd_validate(A)
+        self.validation, self._x_star = _certified_solve(A, -self.b)
+        self._x_star.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -128,9 +131,11 @@ class QuadraticProblem:
         return 0.5 * dot(x, self.A.matvec(x)) + dot(self.b, x)
 
     def direct_solution(self) -> np.ndarray:
-        """Minimizer from a direct solve of ``A x = -b`` (oracle route): dense
-        Cholesky, or banded Cholesky after RCM ordering for CSR storage."""
-        return solve_direct(self.A, -self.b)
+        """Minimizer from the direct solve of ``A x = -b`` made at
+        construction (oracle route: dense Cholesky, or banded Cholesky after
+        RCM ordering for CSR storage), read-only; it equals
+        ``solve_direct(A, -b)`` bit for bit and costs no factorization."""
+        return self._x_star
 
     def __repr__(self) -> str:
         return f"QuadraticProblem(n={self.n}, storage={self.A.storage!r})"

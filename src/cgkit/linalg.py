@@ -5,7 +5,8 @@ both triangles stored).  Symmetry is enforced at construction; positive
 definiteness is certified separately by :func:`spd_validate`, so the type
 can hold a symmetric candidate that validation then rejects.  The direct-solve
 oracle shares its Cholesky routine, which factors CSR storage as a band after
-reverse Cuthill-McKee ordering (George & Liu, 1981).
+reverse Cuthill-McKee ordering (George & Liu, 1981); a problem's certificate
+and its minimizer come from one factor.
 """
 
 from __future__ import annotations
@@ -101,25 +102,34 @@ class MatrixSPD:
 
     @classmethod
     def from_csr(cls, indptr, indices, data, n: int) -> "MatrixSPD":
+        """Order-``n`` matrix from CSR arrays (duplicates summed, indices
+        sorted), stored in fresh arrays.  Input equal to its transpose bit
+        for bit only loses its explicit zeros; other input must pass the
+        symmetry tolerance and is then replaced by ``(A + A.T) / 2``."""
         if n < 1:
             raise DimensionError("matrix order must be at least 1")
         data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(data)):
             raise CgKitError("matrix contains non-finite entries")
-        try:
-            m = _sparse.csr_array((data, indices, indptr), shape=(n, n))
+        try:  # a copy: canonicalizing sorts in place, and the result is frozen
+            m = _sparse.csr_array((data, indices, indptr), shape=(n, n), copy=True)
         except (ValueError, IndexError) as err:
             raise DimensionError(f"invalid CSR structure: {err}") from err
         m.sum_duplicates()
         m.sort_indices()
-        peak = np.abs(m.data).max() if m.nnz else 0.0
-        asym = np.abs(m - m.T).max() if m.nnz else 0.0
-        if asym > SYMMETRY_RTOL * peak:
-            raise SymmetryError(
-                f"matrix is not symmetric: max |A_ij - A_ji| = {asym:.3e} "
-                f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * peak:.3e}")
-        m = (m + m.T) / 2.0
-        m.sort_indices()
+        t = m.T.tocsr()
+        if all(np.array_equal(u, v) for u, v in ((m.indptr, t.indptr),
+                                                 (m.indices, t.indices), (m.data, t.data))):
+            m.eliminate_zeros()  # all that (m + m.T) / 2 changes in exactly symmetric input
+        else:
+            peak = np.abs(m.data).max()
+            asym = np.abs(m - t).max()
+            if asym > SYMMETRY_RTOL * peak:
+                raise SymmetryError(
+                    f"matrix is not symmetric: max |A_ij - A_ji| = {asym:.3e} "
+                    f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * peak:.3e}")
+            m = (m + t) / 2.0
+            m.sort_indices()
         for arr in (m.indptr, m.indices, m.data):
             arr.setflags(write=False)
         out = cls._new()
@@ -223,10 +233,11 @@ class SpdValidation:
 
 def spd_validate(a) -> SpdValidation:
     """Certify that ``a`` is symmetric positive definite by a Cholesky
-    factorization with every pivot strictly positive (see ``_cholesky``).
-    Raises ``SymmetryError`` for asymmetric input, ``NotPositiveDefiniteError``
-    when the factorization fails, and ``CgKitError`` when the band of a CSR
-    matrix would exceed ``BAND_BUDGET``."""
+    factorization whose every pivot clears the relative test of
+    ``_cholesky``.  Raises ``SymmetryError`` for asymmetric input,
+    ``NotPositiveDefiniteError`` when the factorization fails or a pivot is
+    too small, and ``CgKitError`` when the band of a CSR matrix would exceed
+    ``BAND_BUDGET``."""
     m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
     _cholesky(m)
     return SpdValidation(method="cholesky", order=m.n)
@@ -236,13 +247,20 @@ def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
     """Lower Cholesky factor of ``m`` and the order ``perm`` it factors in:
     NumPy's full factor for dense storage (``perm`` None); for CSR storage,
     LAPACK's banded factor of ``m`` in reverse Cuthill-McKee order (row i is
-    row ``perm[i]`` of ``m``), after an O(nnz) check of the diagonal."""
+    row ``perm[i]`` of ``m``), after an O(nnz) check of the diagonal.
+
+    A pivot ``L_ii**2`` at most ``k * eps * a_ii`` is refused as singular
+    to working precision, with ``k`` the number of terms in its sum: the
+    order for dense storage, the band width for CSR (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10)."""
     if m.storage == "dense":
         try:
-            return np.linalg.cholesky(m._dense), None
+            factor = np.linalg.cholesky(m._dense)
         except np.linalg.LinAlgError as err:
             raise NotPositiveDefiniteError(
                 f"Cholesky factorization failed: {err}") from err
+        _check_pivots(np.diagonal(factor), np.diagonal(m._dense), m.n, None)
+        return factor, None
 
     from scipy.linalg import cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -270,7 +288,36 @@ def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
             f"banded Cholesky factorization failed: {err}") from err
+    _check_pivots(factor[0], diag[perm], width, perm)
     return factor, perm
+
+
+def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
+                  perm: np.ndarray | None) -> None:
+    """Refuse the first pivot ``root[i]**2 <= terms * eps * diag[i]``,
+    named by its row of the unpermuted matrix."""
+    bound = terms * np.finfo(np.float64).eps * diag
+    small = root * root <= bound
+    if small.any():
+        i = int(np.argmax(small))
+        row = i if perm is None else int(perm[i])
+        raise NotPositiveDefiniteError(
+            f"Cholesky pivot of row {row} is {root[i] ** 2:.3e}, not above "
+            f"{terms} * eps * A[{row}, {row}] = {bound[i]:.3e}: "
+            f"singular to working precision")
+
+
+def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> tuple[SpdValidation, np.ndarray]:
+    """The certificate of :func:`spd_validate` and the solution of
+    ``m x = rhs`` from one ``_cholesky`` factor, which is then dropped;
+    a banded factor's RCM ordering is undone."""
+    factor, perm = _cholesky(m)
+    if perm is None:
+        x = cho_solve((factor, True), rhs)
+    else:
+        x = np.empty_like(rhs)
+        x[perm] = cho_solve_banded((factor, True), rhs[perm])
+    return SpdValidation(method="cholesky", order=m.n), x
 
 
 @dataclass(frozen=True)
@@ -385,15 +432,12 @@ def _nonzero_sign(d: np.ndarray) -> np.ndarray:
 def solve_direct(a, rhs) -> np.ndarray:
     """Solve ``A x = rhs`` by a direct factorization.
 
-    This is the oracle route, independent of the iterative solver.  It
-    re-factors ``A`` with the Cholesky routine of :func:`spd_validate`, at
-    any order and with the same errors, and solves with the factor.
+    This is the oracle route, independent of the iterative solver, for any
+    right-hand side.  It factors ``A`` with the Cholesky routine of
+    :func:`spd_validate`, at any order and with the same errors, and solves
+    with the factor by the same helper that gives a
+    :class:`~cgkit.cg.QuadraticProblem` its minimizer, so
+    ``solve_direct(p.A, -p.b)`` equals ``p.direct_solution()`` bit for bit.
     """
     m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
-    rhs = as_vector(rhs, m.n, name="right-hand side")
-    factor, perm = _cholesky(m)
-    if perm is None:
-        return cho_solve((factor, True), rhs)
-    x = np.empty_like(rhs)
-    x[perm] = cho_solve_banded((factor, True), rhs[perm])
-    return x
+    return _certified_solve(m, as_vector(rhs, m.n, name="right-hand side"))[1]

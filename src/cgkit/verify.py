@@ -475,9 +475,11 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
 
     Asserts the run stopped by gradient tolerance in at most ``n``
     iterations, and that the final iterate matches the minimizer from a
-    direct solve of ``A x = -b`` (Cholesky, banded after RCM ordering for
-    CSR storage; :func:`~cgkit.linalg.solve_direct`) to relative tolerance
-    ``tolerance_x``.  Both instances are indexed by the final iteration.
+    direct solve of ``A x = -b`` to relative tolerance ``tolerance_x``.
+    The problem made that solve at construction with the factor of its SPD
+    certificate (:meth:`~cgkit.cg.QuadraticProblem.direct_solution`), so
+    the check factors nothing.  Both instances are indexed by the final
+    iteration.
     """
     n = problem.n
     within = (trace.terminated_at <= n
@@ -487,14 +489,9 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
     if trace.termination_reason != TerminationReason.GRADIENT_BELOW_TOLERANCE:
         note = (f"run stopped by {trace.termination_reason.value} after "
                 f"{trace.terminated_at} iterations")
-    try:
-        x_oracle = problem.direct_solution()
-    except Exception as err:  # factorization failure is reported, not raised
-        err_abs = rel = math.inf
-        note = (note + "; " if note else "") + f"direct-solve oracle failed: {err}"
-    else:
-        err_abs = float(np.linalg.norm(trace.final_x - x_oracle))
-        rel = err_abs / max(float(np.linalg.norm(x_oracle)), _FLOOR)
+    x_oracle = problem.direct_solution()
+    err_abs = float(np.linalg.norm(trace.final_x - x_oracle))
+    rel = err_abs / max(float(np.linalg.norm(x_oracle)), _FLOOR)
     result = _result(
         "finite_termination", tolerance_x, np.array([over, err_abs]),
         np.array([over, rel]), np.full((2, 1), trace.terminated_at),

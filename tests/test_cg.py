@@ -555,6 +555,43 @@ class TestQuadraticProblem:
         np.testing.assert_allclose(worked_problem.direct_solution(),
                                    [1.0, 1.0], rtol=1e-14)
 
+    @staticmethod
+    def _problem(storage):
+        if storage == "dense":
+            return builtin_problem(BuiltinProblemSpec(
+                family="random_spd", n=60, spectrum=SpectrumSpec(lam_min=1.0, lam_max=100.0),
+                seed=5, b_mode="random", b_seed=6))
+        return builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=400))
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_one_factorization_per_problem(self, storage, monkeypatch):
+        import cgkit.linalg as linalg
+
+        calls = []
+
+        def counted(m):
+            calls.append(m.storage)
+            return cholesky(m)
+
+        cholesky = linalg._cholesky
+        monkeypatch.setattr(linalg, "_cholesky", counted)
+        problem = self._problem(storage)
+        _, trace = solve(problem)
+        finite = run_all_checks(trace, problem).check("finite_termination")
+        assert np.isfinite(finite.worst)
+        assert calls == [storage]
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_direct_solution_is_the_kept_oracle(self, storage):
+        problem = self._problem(storage)
+        x = problem.direct_solution()
+        assert x.dtype == np.float64 and x.shape == (problem.n,)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert problem.direct_solution() is x
+        assert x.tobytes() == solve_direct(problem.A, -problem.b).tobytes()
+
 
 class TestSolverConfig:
     def test_rejects_negative_tolerance(self):

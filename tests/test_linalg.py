@@ -169,6 +169,41 @@ class TestMatrixSPD:
         with pytest.raises(SymmetryError):
             MatrixSPD.from_csr([0, 2, 2], [0, 1], [1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("asymmetry", [0.0, 1e-14], ids=["exact", "tiny"])
+    def test_csr_is_stored_as_its_symmetrization(self, asymmetry):
+        rng = np.random.default_rng(7)
+        n = 30
+        values = rng.standard_normal((n, n))
+        values = values + values.T
+        mask = rng.uniform(size=(n, n)) < 0.2
+        mask = mask | mask.T | np.eye(n, dtype=bool)
+        values[3, 5] = values[5, 3] = values[7, 7] = 0.0  # stored explicit zeros
+        mask[3, 5] = mask[5, 3] = mask[7, 7] = True
+        values[2, 4] += asymmetry * abs(values[2, 4])
+        rows, cols = np.nonzero(mask)
+        given = sparse.csr_array((values[rows, cols], (rows, cols)), shape=(n, n))
+        assert np.count_nonzero(given.data == 0.0) == 3
+        assert np.array_equal(given.data, given.T.tocsr().data) == (asymmetry == 0.0)
+        arrays = [arr.copy() for arr in (given.indptr, given.indices, given.data)]
+
+        m = MatrixSPD.from_csr(given.indptr, given.indices, given.data, n)
+        expected = (given + given.T) / 2.0
+        expected.sort_indices()
+        for got, want in zip(m.csr_arrays, (expected.indptr, expected.indices,
+                                            expected.data)):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        for kept, arr in zip(arrays, (given.indptr, given.indices, given.data)):
+            assert np.array_equal(kept, arr) and arr.flags.writeable
+
+    def test_unsorted_csr_input_is_left_untouched(self):
+        indptr, indices = np.array([0, 2, 4]), np.array([1, 0, 1, 0])
+        data = np.array([1.0, 2.0, 3.0, 1.0])
+        m = MatrixSPD.from_csr(indptr, indices, data, 2)
+        assert m.to_dense().tolist() == [[2.0, 1.0], [1.0, 3.0]]
+        assert indices.tolist() == [1, 0, 1, 0] and data.tolist() == [1.0, 2.0, 3.0, 1.0]
+        assert indices.flags.writeable and data.flags.writeable
+
     def test_backing_arrays_are_readonly(self):
         m = MatrixSPD.from_dense(np.diag([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -390,6 +425,20 @@ class TestCholeskyCertificate:
                         lambda a: QuadraticProblem(a, np.ones(a.n))):
             with pytest.raises(NotPositiveDefiniteError):
                 certify(m)
+
+    def test_singular_to_working_precision_is_rejected(self):
+        # path-graph Laplacian, null vector of ones: in a random order rounding
+        # leaves its last pivot positive, far below n * eps * a_ii
+        n = 2001
+        lap = _tridiagonal(np.r_[1.0, np.full(n - 2, 2.0), 1.0]).toarray()
+        p = np.random.default_rng(0).permutation(n)
+        with pytest.raises(NotPositiveDefiniteError, match=r"pivot of row \d+ .* 2001 \* eps"):
+            spd_validate(lap[np.ix_(p, p)])
+
+    def test_hilbert_12_clears_the_pivot_test(self):
+        # its smallest pivot ratio, about 2e-12, is far above 12 * eps
+        assert spd_validate(scipy.linalg.hilbert(12)).method == "cholesky"
+        assert spd_validate(_csr(scipy.linalg.hilbert(12))).method == "cholesky"
 
     def test_band_above_budget_is_refused_before_allocation(self):
         n = 20_000

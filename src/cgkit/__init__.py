@@ -21,7 +21,6 @@ from .errors import (
 )
 from .linalg import (
     MatrixSPD,
-    SpdValidation,
     SpectrumSpec,
     dot,
     generate_spd,
@@ -80,8 +79,8 @@ __all__ = [
     "BreakdownError", "CgKitError", "DimensionError", "IncompleteTraceError",
     "MatrixMarketError", "NotPositiveDefiniteError", "ProblemSpecError",
     "SymmetryError",
-    "MatrixSPD", "SpdValidation", "SpectrumSpec", "dot", "generate_spd",
-    "matvec", "solve_direct", "spd_validate",
+    "MatrixSPD", "SpectrumSpec", "dot", "generate_spd", "matvec",
+    "solve_direct", "spd_validate",
     "BetaRule", "GradientUpdate", "IterationRecord", "IterationTrace",
     "QuadraticProblem", "SolverConfig", "StepsizeRule", "TerminationReason",
     "beta", "direction", "gradient", "initial_record", "objective", "solve",

@@ -37,7 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import BreakdownError, DimensionError, IncompleteTraceError
+from .errors import (BreakdownError, DimensionError, IncompleteTraceError,
+                     ProblemSpecError)
 from .linalg import MatrixSPD, _certified_solve, as_vector, dot
 
 __all__ = [
@@ -96,12 +97,12 @@ class QuadraticProblem:
     """SPD quadratic ``f(x) = 0.5 x.T A x + b.T x``.
 
     Construction validates dimensions and factors ``A`` once: the Cholesky
-    factor of :func:`~cgkit.linalg.spd_validate` gives the certificate
-    ``validation`` and the unique minimizer, the solution of ``A x = -b``,
-    which is kept read-only (``n`` floats) while the factor is dropped.
+    factor of :func:`~cgkit.linalg.spd_validate` certifies ``A`` and gives
+    the unique minimizer, the solution of ``A x = -b``, which is kept
+    read-only (``n`` floats) while the factor is dropped.
     """
 
-    __slots__ = ("A", "b", "validation", "_x_star")
+    __slots__ = ("A", "b", "_x_star")
 
     def __init__(self, A: MatrixSPD, b):
         if not isinstance(A, MatrixSPD):
@@ -109,7 +110,7 @@ class QuadraticProblem:
         self.A = A
         self.b = as_vector(b, A.n, name="b")
         self.b.setflags(write=False)
-        self.validation, self._x_star = _certified_solve(A, -self.b)
+        self._x_star = _certified_solve(A, -self.b)
         self._x_star.setflags(write=False)
 
     @property
@@ -148,7 +149,8 @@ class SolverConfig:
     ``grad_tolerance=None`` resolves to ``1e-12 * ||g_0||`` at solve time;
     ``max_iterations=None`` resolves to the problem dimension ``n`` (the
     exact-arithmetic termination bound; pass ``2 * n`` for ill-conditioned
-    floating-point runs).
+    floating-point runs).  A negative tolerance or a cap below 1 raises
+    :class:`~cgkit.errors.ProblemSpecError`.
     """
 
     stepsize_rule: StepsizeRule = StepsizeRule.EXACT_LINE_SEARCH
@@ -163,9 +165,9 @@ class SolverConfig:
         object.__setattr__(self, "beta_rule", BetaRule(self.beta_rule))
         object.__setattr__(self, "gradient_update", GradientUpdate(self.gradient_update))
         if self.grad_tolerance is not None and not self.grad_tolerance >= 0.0:
-            raise ValueError("grad_tolerance must be nonnegative")
+            raise ProblemSpecError("grad_tolerance must be nonnegative")
         if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+            raise ProblemSpecError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -498,8 +500,8 @@ def _block_rows(n: int, count: int, blocks: list):
 class _TraceRecords(Sequence):
     """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
     the first K rows ``A d_k`` of their blocks, and ``alpha_k`` and
-    ``beta_k``.  The first item access replays every step once and keeps
-    the records; :meth:`steps` replays without keeping them."""
+    ``beta_k``.  :meth:`steps` is the one replay; the first item access
+    runs it once for every vector and keeps the records."""
 
     __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
                  "_beta", "_items")
@@ -520,10 +522,9 @@ class _TraceRecords(Sequence):
     def __getitem__(self, index):
         if self._items is None:
             self._items = tuple(
-                IterationRecord(k=k, x=x, g=g, d=d, alpha=self._alpha[k],
-                                beta=self._beta[k], Ad=Ad)
-                for k, ((x, g, d), Ad) in enumerate(zip(self._replay(True, True),
-                                                        self._ad_rows())))
+                IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha, beta=self._beta[k], Ad=Ad)
+                for k, (x, g, d, Ad, alpha) in enumerate(
+                    self.steps(("X", "G", "D", "AD", "alpha"))))
         return self._items[index]
 
     def __eq__(self, other):
@@ -535,44 +536,37 @@ class _TraceRecords(Sequence):
     def stored_bytes(self) -> int:
         return (len(self) + 2) * self._x0.nbytes
 
-    def _ad_rows(self):
-        return itertools.islice(itertools.chain.from_iterable(self._ad_blocks), len(self))
+    def steps(self, names):
+        """:meth:`IterationTrace.steps` over the stored blocks.
 
-    def _replay(self, want_x: bool, want_d: bool):
-        """``(x_k, g_k, d_k)`` for each step, rebuilt from ``x_0``, ``g_0``,
+        ``x_k``, ``g_k`` and ``d_k`` are rebuilt from ``x_0``, ``g_0``,
         ``A d_k``, ``alpha_k`` and ``beta_k`` by the solver's own updates,
-        and so equal to the solve's to the bit.  Each step's vectors are
-        fresh read-only arrays the caller may keep; ``x_k`` and ``d_k`` are
-        None when neither wanted nor needed (an explicit gradient needs the
-        iterate)."""
-        need_x = want_x or self._update == GradientUpdate.EXPLICIT
-        need_d = want_d or need_x
+        and so equal the solve's to the bit; each is a fresh read-only
+        array the caller may keep.  Only what ``names`` needs is replayed:
+        under the recurrence G needs no d, and an explicit gradient needs
+        the iterate."""
+        picks = [tuple(_RECORD_FIELDS).index(name) for name in names]
+        need_g = not {"X", "G", "D"}.isdisjoint(names)
+        need_x = "X" in names or (need_g and self._update == GradientUpdate.EXPLICIT)
+        need_d = "D" in names or need_x
         n = self._x0.size
         tmp = np.empty(n)
         x, g, d, Ad_prev = self._x0 if need_x else None, self._g0, None, None
-        for k, Ad in enumerate(self._ad_rows()):
-            if k:
-                x_out = np.empty(n) if need_x else None
+        ad_rows = itertools.islice(itertools.chain.from_iterable(self._ad_blocks), len(self))
+        for k, (Ad, alpha, beta_k) in enumerate(zip(ad_rows, self._alpha, self._beta)):
+            if k and need_g:
                 x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
-                                Ad_prev, x, g, x_out, np.empty(n), tmp)
+                                Ad_prev, x, g, np.empty(n) if need_x else None,
+                                np.empty(n), tmp)
                 g.setflags(write=False)
                 if need_x:
                     x.setflags(write=False)
             if need_d:
-                d = _direction(g, d, self._beta[k], np.empty(n), tmp)
+                d = _direction(g, d, beta_k, np.empty(n), tmp)
                 d.setflags(write=False)
-            yield x, g, d
-            Ad_prev = Ad
-
-    def steps(self, names):
-        """:meth:`IterationTrace.steps` over the stored blocks."""
-        picks = [tuple(_RECORD_FIELDS).index(name) for name in names]
-        replay = (self._replay("X" in names, "D" in names) if {"X", "G", "D"} & set(names)
-                  else itertools.repeat((None, None, None)))
-        for (x, g, d), Ad, alpha, beta_k in zip(replay, self._ad_rows(), self._alpha,
-                                                self._beta):
             values = (x, g, d, Ad, alpha, math.nan if beta_k is None else beta_k)
             yield tuple(map(values.__getitem__, picks))
+            Ad_prev = Ad
 
 
 _RECORD_FIELDS = {"X": "x", "G": "g", "D": "d", "AD": "Ad", "alpha": "alpha",

@@ -18,8 +18,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .cg import QuadraticProblem, SolverConfig, TerminationReason, solve
 from .errors import CgKitError
 from .linalg import SpectrumSpec
@@ -27,6 +25,7 @@ from .problems_io import (
     BUILTIN_FAMILIES,
     BuiltinProblemSpec,
     TraceDocument,
+    _linear_term,
     _read_matrix,
     builtin_problem,
     read_vector_file,
@@ -96,20 +95,18 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     if (args.matrix is None) == (args.builtin is None):
         raise CgKitError("give exactly one problem source: --matrix or --builtin")
+    b_mode, known = "ones", None
+    if args.known_solution is not None:
+        b_mode = "from_known_solution"
+        known = _parse_floats(args.known_solution, "--known-solution")
+    elif args.b == "random":
+        b_mode = "random"
     if args.matrix is not None:
         a = _read_matrix(args.matrix)  # QuadraticProblem below certifies it
-        if args.b_file is not None:
-            b = read_vector_file(args.b_file)
-        elif args.known_solution is not None:
-            x_star = np.asarray(_parse_floats(args.known_solution, "--known-solution"))
-            b = -a.matvec(x_star)
-        elif args.b == "random":
-            b = np.random.default_rng(args.b_seed).standard_normal(a.n)
-        else:
-            b = np.ones(a.n)
-        problem = QuadraticProblem(a, b)
+        b = (read_vector_file(args.b_file) if args.b_file is not None
+             else _linear_term(a, b_mode, args.b_seed, known))
         description = {"matrix": args.matrix, "n": a.n, "storage": a.storage}
-        return problem, description
+        return QuadraticProblem(a, b), description
 
     family = args.builtin
     eigenvalues = None
@@ -129,13 +126,6 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     elif n is None:
         raise CgKitError(f"--builtin {family} requires --n")
 
-    b_mode = "ones"
-    known = None
-    if args.known_solution is not None:
-        b_mode = "from_known_solution"
-        known = _parse_floats(args.known_solution, "--known-solution")
-    elif args.b == "random":
-        b_mode = "random"
     spec = BuiltinProblemSpec(family=family, n=n, eigenvalues=eigenvalues,
                               spectrum=spectrum, seed=args.seed, b_mode=b_mode,
                               b_seed=args.b_seed, known_solution=known)

@@ -21,7 +21,7 @@ class NotPositiveDefiniteError(CgKitError, ValueError):
 
 
 class ProblemSpecError(CgKitError, ValueError):
-    """Invalid spectrum or builtin-problem specification."""
+    """Invalid spectrum, builtin-problem specification or solver option."""
 
 
 class BreakdownError(CgKitError, ArithmeticError):

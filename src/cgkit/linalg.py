@@ -28,7 +28,6 @@ from .errors import (
 __all__ = [
     "MatrixSPD",
     "SpectrumSpec",
-    "SpdValidation",
     "dot",
     "matvec",
     "spd_validate",
@@ -66,20 +65,22 @@ class MatrixSPD:
 
     Construct via :meth:`from_dense` or :meth:`from_csr`.  Stored entries
     satisfy exact symmetry (inputs are checked against a relative tolerance
-    of ``1e-12 * max|A|`` and then symmetrized).  CSR storage keeps both
-    triangles in one SciPy ``csr_array``, whose compiled kernel computes
-    every sparse product; dense products go to BLAS.  Instances are
-    immutable: backing arrays are marked read-only.
+    of ``1e-12 * max|A|`` and then symmetrized).  The one operand ``_a`` is
+    a read-only C-ordered ndarray for dense storage, whose products go to
+    BLAS, or a SciPy ``csr_array`` holding both triangles, whose compiled
+    kernel computes every sparse product.  Instances are immutable.
     """
 
-    __slots__ = ("n", "storage", "_dense", "_csr")
+    __slots__ = ("n", "storage", "_a")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use MatrixSPD.from_dense or MatrixSPD.from_csr")
 
     @classmethod
-    def _new(cls) -> "MatrixSPD":
-        return object.__new__(cls)
+    def _new(cls, storage: str, a) -> "MatrixSPD":
+        m = object.__new__(cls)
+        m.n, m.storage, m._a = a.shape[0], storage, a
+        return m
 
     @classmethod
     def from_dense(cls, array) -> "MatrixSPD":
@@ -90,15 +91,10 @@ class MatrixSPD:
             raise DimensionError("matrix order must be at least 1")
         if not np.all(np.isfinite(a)):
             raise CgKitError("matrix contains non-finite entries")
-        _check_symmetry_dense(a)
+        _check_symmetry(np.abs(a - a.T).max(), np.abs(a).max())
         a = (a + a.T) / 2.0
         a.setflags(write=False)
-        m = cls._new()
-        m.n = a.shape[0]
-        m.storage = "dense"
-        m._dense = a
-        m._csr = None
-        return m
+        return cls._new("dense", a)
 
     @classmethod
     def from_csr(cls, indptr, indices, data, n: int) -> "MatrixSPD":
@@ -122,22 +118,12 @@ class MatrixSPD:
                                                  (m.indices, t.indices), (m.data, t.data))):
             m.eliminate_zeros()  # all that (m + m.T) / 2 changes in exactly symmetric input
         else:
-            peak = np.abs(m.data).max()
-            asym = np.abs(m - t).max()
-            if asym > SYMMETRY_RTOL * peak:
-                raise SymmetryError(
-                    f"matrix is not symmetric: max |A_ij - A_ji| = {asym:.3e} "
-                    f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * peak:.3e}")
+            _check_symmetry(np.abs(m - t).max(), np.abs(m.data).max())
             m = (m + t) / 2.0
             m.sort_indices()
         for arr in (m.indptr, m.indices, m.data):
             arr.setflags(write=False)
-        out = cls._new()
-        out.n = n
-        out.storage = "csr"
-        out._dense = None
-        out._csr = m
-        return out
+        return cls._new("csr", m)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -145,9 +131,9 @@ class MatrixSPD:
 
     @property
     def nnz(self) -> int:
-        if self.storage == "dense":
-            return int(np.count_nonzero(self._dense))
-        return int(self._csr.nnz)
+        if self.is_dense:
+            return int(np.count_nonzero(self._a))
+        return int(self._a.nnz)
 
     @property
     def is_dense(self) -> bool:
@@ -155,24 +141,20 @@ class MatrixSPD:
 
     @property
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self.storage != "csr":
+        if self.is_dense:
             raise CgKitError("matrix is not stored in CSR form")
-        return self._csr.indptr, self._csr.indices, self._csr.data
+        return self._a.indptr, self._a.indices, self._a.data
 
     def to_dense(self) -> np.ndarray:
         """Densified copy (read-only for dense storage, fresh for CSR)."""
-        if self.storage == "dense":
-            return self._dense
-        return self._csr.toarray()
+        return self._a if self.is_dense else self._a.toarray()
 
     def matvec(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size != self.n:
             raise DimensionError(
                 f"operand has shape {x.shape}, expected ({self.n},)")
-        if self.storage == "dense":
-            return self._dense @ x
-        return self._csr @ x
+        return self._a @ x
 
     def matmat(self, block) -> np.ndarray:
         """Product ``A X`` for an (n, m) block: BLAS for dense storage, SciPy's
@@ -181,22 +163,18 @@ class MatrixSPD:
         if block.ndim != 2 or block.shape[0] != self.n:
             raise DimensionError(
                 f"operand has shape {block.shape}, expected ({self.n}, m)")
-        if self.storage == "dense":
-            return self._dense @ block
-        return self._csr @ block
+        return self._a @ block
 
     def frobenius_norm(self) -> float:
-        if self.storage == "dense":
-            return float(np.linalg.norm(self._dense))
-        return float(np.linalg.norm(self._csr.data))
+        return float(np.linalg.norm(self._a if self.is_dense else self._a.data))
 
     def __repr__(self) -> str:
         return f"MatrixSPD(n={self.n}, storage={self.storage!r}, nnz={self.nnz})"
 
 
-def _check_symmetry_dense(a: np.ndarray) -> None:
-    peak = np.abs(a).max() if a.size else 0.0
-    asym = np.abs(a - a.T).max()
+def _check_symmetry(asym: float, peak: float) -> None:
+    """Refuse a matrix whose largest ``|A_ij - A_ji|`` exceeds
+    ``SYMMETRY_RTOL`` times its largest entry magnitude ``peak``."""
     if asym > SYMMETRY_RTOL * peak:
         raise SymmetryError(
             f"matrix is not symmetric: max |A_ij - A_ji| = {asym:.3e} "
@@ -222,25 +200,15 @@ def matvec(a: MatrixSPD, x) -> np.ndarray:
     return a.matvec(x)
 
 
-@dataclass(frozen=True)
-class SpdValidation:
-    """Outcome of a successful positive-definiteness check: ``method`` is
-    ``"cholesky"``, an exact certificate at every order and storage."""
-
-    method: str
-    order: int
-
-
-def spd_validate(a) -> SpdValidation:
+def spd_validate(a) -> None:
     """Certify that ``a`` is symmetric positive definite by a Cholesky
     factorization whose every pivot clears the relative test of
-    ``_cholesky``.  Raises ``SymmetryError`` for asymmetric input,
+    ``_cholesky``, or raise: ``SymmetryError`` for asymmetric input,
     ``NotPositiveDefiniteError`` when the factorization fails or a pivot is
     too small, and ``CgKitError`` when the band of a CSR matrix would exceed
-    ``BAND_BUDGET``."""
-    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
-    _cholesky(m)
-    return SpdValidation(method="cholesky", order=m.n)
+    ``BAND_BUDGET``.  The certificate is the absence of an error; the
+    factor is dropped."""
+    _cholesky(a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a))
 
 
 def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
@@ -253,19 +221,19 @@ def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
     to working precision, with ``k`` the number of terms in its sum: the
     order for dense storage, the band width for CSR (Higham, *Accuracy and
     Stability of Numerical Algorithms*, ch. 10)."""
-    if m.storage == "dense":
+    if m.is_dense:
         try:
-            factor = np.linalg.cholesky(m._dense)
+            factor = np.linalg.cholesky(m._a)
         except np.linalg.LinAlgError as err:
             raise NotPositiveDefiniteError(
                 f"Cholesky factorization failed: {err}") from err
-        _check_pivots(np.diagonal(factor), np.diagonal(m._dense), m.n, None)
+        _check_pivots(np.diagonal(factor), np.diagonal(m._a), m.n, None)
         return factor, None
 
     from scipy.linalg import cholesky_banded
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    a = m._csr
+    a = m._a
     diag = a.diagonal()
     if not np.all(diag > 0.0):
         i = int(np.argmin(diag > 0.0))
@@ -307,17 +275,17 @@ def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
             f"singular to working precision")
 
 
-def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> tuple[SpdValidation, np.ndarray]:
-    """The certificate of :func:`spd_validate` and the solution of
-    ``m x = rhs`` from one ``_cholesky`` factor, which is then dropped;
-    a banded factor's RCM ordering is undone."""
+def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
+    """The solution of ``m x = rhs`` from the ``_cholesky`` factor that
+    certifies ``m`` as :func:`spd_validate` does (with its errors), which
+    is then dropped; a banded factor's RCM ordering is undone."""
     factor, perm = _cholesky(m)
     if perm is None:
         x = cho_solve((factor, True), rhs)
     else:
         x = np.empty_like(rhs)
         x[perm] = cho_solve_banded((factor, True), rhs[perm])
-    return SpdValidation(method="cholesky", order=m.n), x
+    return x
 
 
 @dataclass(frozen=True)
@@ -440,4 +408,4 @@ def solve_direct(a, rhs) -> np.ndarray:
     ``solve_direct(p.A, -p.b)`` equals ``p.direct_solution()`` bit for bit.
     """
     m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
-    return _certified_solve(m, as_vector(rhs, m.n, name="right-hand side"))[1]
+    return _certified_solve(m, as_vector(rhs, m.n, name="right-hand side"))

@@ -165,15 +165,20 @@ def builtin_problem(spec: BuiltinProblemSpec) -> QuadraticProblem:
         a = _diagonal(spec.eigenvalues)
     else:
         a = generate_spd(spec.n, spec.spectrum, spec.seed)
+    return QuadraticProblem(a, _linear_term(a, spec.b_mode, spec.b_seed,
+                                            spec.known_solution))
 
-    if spec.b_mode == "ones":
-        b = np.ones(spec.n)
-    elif spec.b_mode == "random":
-        b = np.random.default_rng(spec.b_seed).standard_normal(spec.n)
-    else:
-        x_star = np.asarray(spec.known_solution, dtype=np.float64)
-        b = -a.matvec(x_star)
-    return QuadraticProblem(a, b)
+
+def _linear_term(a: MatrixSPD, b_mode: str, b_seed: int,
+                 known_solution) -> np.ndarray:
+    """The linear term ``b`` that ``b_mode`` of :class:`BuiltinProblemSpec`
+    names for ``a``: ones, a standard-normal draw seeded by ``b_seed``, or
+    ``-A x*`` for ``x* = known_solution``."""
+    if b_mode == "random":
+        return np.random.default_rng(b_seed).standard_normal(a.n)
+    if b_mode == "from_known_solution":
+        return -a.matvec(np.asarray(known_solution, dtype=np.float64))
+    return np.ones(a.n)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +547,15 @@ class TraceDocument:
                 "objective": 0.5 * dot(x, g + problem.b),
             })
             if include_vectors:
-                vectors.append({"k": k, "x": [float(v) for v in x],
-                                "g": [float(v) for v in g],
-                                "d": [float(v) for v in d]})
+                vectors.append({"k": k, "x": x.tolist(),
+                                "g": g.tolist(),
+                                "d": d.tolist()})
         final = {
             "iterations": trace.terminated_at,
             "termination_reason": trace.termination_reason.value,
             "grad_norm": trace.final_grad_norm(),
             "objective": problem.objective(trace.final_x),
-            "x": [float(v) for v in trace.final_x],
+            "x": trace.final_x.tolist(),
         }
         if trace.breakdown:
             final["breakdown"] = trace.breakdown

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -133,6 +134,16 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+    @pytest.mark.parametrize("flag", [("--max-iters", "0"), ("--tol", "-1")],
+                             ids=["max-iters", "tol"])
+    def test_bad_solver_option_is_an_error(self, capsys, command, flag):
+        code = run_cli(command, "--builtin", "laplacian1d", "--n", "5", *flag)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("solve", "--builtin", "hilbert", "--n", "2", "--frobnicate")
@@ -252,6 +263,21 @@ def test_import_leaves_costly_scipy_modules_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_benchmark_imports_only_public_names():
+    # the benchmark imports these names from the package; deleting one
+    # breaks it, and it is changed only on its own
+    import cgkit
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "cgkit"
+                for alias in node.names]
+    assert imported
+    assert sorted(set(imported) - set(cgkit.__all__)) == []
+    assert [name for name in cgkit.__all__ if not hasattr(cgkit, name)] == []
 
 
 def test_python_dash_m_runs_without_install():

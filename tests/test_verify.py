@@ -372,5 +372,5 @@ def test_manual_trace_without_cached_products_rejected(worked_problem):
                             final_g=trace.final_g, terminated_at=1,
                             termination_reason=TerminationReason.ITERATION_CAP,
                             grad_tolerance=trace.grad_tolerance)
-    with pytest.raises(IncompleteTraceError):
+    with pytest.raises(IncompleteTraceError, match="record 0 has no"):
         check_classical_identities(broken, worked_problem.A)

@@ -125,7 +125,7 @@ class QuadraticProblem:
         """:meth:`gradient` of a float64 vector of length ``n`` the caller
         has already checked: the solver's own iterates skip the
         finiteness pass."""
-        return np.add(self.A.matvec(x), self.b, out=out)
+        return np.add(self.A._a @ x, self.b, out=out)
 
     def objective(self, x) -> float:
         x = as_vector(x, self.n, name="x")
@@ -219,9 +219,9 @@ class IterationTrace:
     replays every ``g_k``, ``x_k`` and ``d_k`` once and keeps them.
     :meth:`steps` hands out the named vectors and scalars one step at a
     time, and :meth:`columns` stacked copies of them, replaying only what
-    is asked for.  In explicit gradient mode each replayed ``g_k`` costs
-    the matvec ``A x_k`` the solve paid.  A trace built by hand from a
-    tuple of records stacks the records' own vectors.
+    is asked for, in row blocks.  In explicit gradient mode each replayed
+    ``g_k`` costs the matvec ``A x_k`` the solve paid.  A trace built by
+    hand from a tuple of records stacks the records' own vectors.
     """
 
     records: Sequence[IterationRecord]
@@ -264,20 +264,41 @@ class IterationTrace:
         ``"X"``, ``"G"``, ``"D"`` and ``"AD"`` name the read-only vectors
         ``x_k``, ``g_k``, ``d_k`` and ``A d_k``; ``"alpha"`` and ``"beta"``
         the scalars, ``beta`` NaN where none was recorded (k = 0).  A
-        traced solve replays X, G and D one step at a time, computing only
-        what the names need (in explicit gradient mode G needs the
-        iterates, and a matvec per step): a caller that keeps no step's
-        vectors holds a few of them at a time, not K.  A record lacking a
-        named vector or its stepsize raises
-        :class:`~cgkit.errors.IncompleteTraceError`.
+        traced solve replays X, G and D a block of rows at a time (at most
+        256 kB of each vector), computing only what the names need (in
+        explicit gradient mode G needs the iterates, and a matvec per
+        step).  Its vectors are read-only row views of a block, so a
+        caller that keeps no step's vectors holds a few blocks at a time,
+        not K vectors.  A record lacking a named vector or its stepsize
+        raises :class:`~cgkit.errors.IncompleteTraceError`.
         """
         if isinstance(self.records, _TraceRecords):
             return self.records.steps(names)
         return _record_steps(self.records, names)
 
+    def _blocks(self, *names: str) -> Iterator[tuple]:
+        """:meth:`steps` a block of rows at a time: per name a read-only
+        (rows, n) array of a vector, or a list of a scalar.  A traced solve
+        hands out its replay blocks, a trace built by hand one row each."""
+        if isinstance(self.records, _TraceRecords):
+            return self.records.blocks(names)
+        return (tuple(value[np.newaxis] if isinstance(value, np.ndarray) else [value]
+                      for value in values)
+                for values in _record_steps(self.records, names))
+
+    def _grad_norms(self) -> list[float]:
+        """``||g_k||`` per record: from the ``g_k . g_k`` a traced solve
+        recorded, or from each hand-built record's gradient."""
+        if isinstance(self.records, _TraceRecords):
+            # sqrt(g . g) is np.linalg.norm(g) to the bit
+            return [math.sqrt(gg) for gg in self.records._gg]
+        return [rec.grad_norm() for rec in self.records]
+
     def columns(self, *names: str) -> tuple[np.ndarray, ...]:
         """Fresh arrays, one per name, stacking :meth:`steps`: a vector name
         gives a (K, n) array of rows, a scalar name a length-K array."""
+        if isinstance(self.records, _TraceRecords):
+            return self.records.columns(names)
         K, n = len(self.records), self.final_x.size
         out = tuple(np.empty((K,) if name in ("alpha", "beta") else (K, n))
                     for name in names)
@@ -415,12 +436,6 @@ def stepsize_orthogonal(g_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float
     return -dot(g_k, g_k) / den
 
 
-def _stepsize(rule: StepsizeRule, g, d, Ad) -> float:
-    if rule == StepsizeRule.EXACT_LINE_SEARCH:
-        return stepsize_exact(g, d, Ad)
-    return stepsize_orthogonal(g, Ad)
-
-
 def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
              x: np.ndarray, g: np.ndarray, d: np.ndarray, new_ad, tmp: np.ndarray,
              prev: tuple | None = None, tol: float = -math.inf, cap: float = math.inf
@@ -449,7 +464,7 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
         g_prev, Ad_prev, alpha_prev, gg_prev = prev
         _advance(problem, config.gradient_update, alpha_prev, d, Ad_prev,
                  x, g_prev, x, g, tmp)
-    gg = dot(g, g)
+    gg = float(np.dot(g, g))
     reason = None
     if math.sqrt(gg) <= tol:  # sqrt(g . g) is np.linalg.norm(g) to the bit
         reason = TerminationReason.GRADIENT_BELOW_TOLERANCE
@@ -457,16 +472,29 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
         reason = TerminationReason.ITERATION_CAP
     if reason is not None:
         return gg, None, None, None, reason
+    # The buffers are the solver's own, so the operands are not validated
+    # again; a denominator that fails its guard goes to the public helper,
+    # which words the breakdown.
     try:
         beta_k = None
         if prev is not None:
-            beta_k = _beta(config.beta_rule, g, g_prev, d, gg, gg_prev, tmp)
+            if config.beta_rule is BetaRule.FR and gg_prev > EPS_DENOMINATOR:
+                beta_k = gg / gg_prev
+            else:
+                beta_k = _beta(config.beta_rule, g, g_prev, d, gg, gg_prev, tmp)
         _direction(g, None if prev is None else d, beta_k, d, tmp)
         # a traced solve's pages fault in far faster as one block than as
         # a fresh array per product, so A d is copied into a block row
         Ad = new_ad()
-        np.copyto(Ad, problem.A.matvec(d))
-        alpha = _stepsize(config.stepsize_rule, g, d, Ad)
+        np.copyto(Ad, problem.A._a @ d)
+        if config.stepsize_rule is StepsizeRule.EXACT_LINE_SEARCH:
+            den = float(np.dot(d, Ad))
+            alpha = (-float(np.dot(g, d)) / den if den > EPS_DENOMINATOR
+                     else stepsize_exact(g, d, Ad))
+        else:
+            den = float(np.dot(g, Ad))
+            alpha = (-gg / den if abs(den) > EPS_DENOMINATOR
+                     else stepsize_orthogonal(g, Ad))
     except BreakdownError as err:
         raise err.at_iteration(k) from None
     return gg, alpha, beta_k, Ad, None
@@ -497,16 +525,21 @@ def _block_rows(n: int, count: int, blocks: list):
         yield from block
 
 
+# Largest replay block: the rows of one vector it holds stay within 256 kB.
+_BLOCK_BYTES = 1 << 18
+
+
 class _TraceRecords(Sequence):
     """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
-    the first K rows ``A d_k`` of their blocks, and ``alpha_k`` and
-    ``beta_k``.  :meth:`steps` is the one replay; the first item access
-    runs it once for every vector and keeps the records."""
+    the first K rows ``A d_k`` of their blocks, ``alpha_k``, ``beta_k`` and
+    the solver's ``g_k . g_k``.  :meth:`_replay` is the one replay; steps,
+    columns and records all read it, and the first item access runs it
+    once for every vector and keeps the records."""
 
     __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
-                 "_beta", "_items")
+                 "_beta", "_gg", "_items")
 
-    def __init__(self, problem, update, x0, g0, ad_blocks, alphas, betas):
+    def __init__(self, problem, update, x0, g0, ad_blocks, alphas, betas, ggs):
         for array in (x0, g0, *ad_blocks):
             array.setflags(write=False)
         self._problem, self._update = problem, update
@@ -514,6 +547,7 @@ class _TraceRecords(Sequence):
         self._ad_blocks = ad_blocks
         self._alpha = alphas
         self._beta = betas  # None at k = 0
+        self._gg = ggs
         self._items = None
 
     def __len__(self) -> int:
@@ -537,36 +571,135 @@ class _TraceRecords(Sequence):
         return (len(self) + 2) * self._x0.nbytes
 
     def steps(self, names):
-        """:meth:`IterationTrace.steps` over the stored blocks.
+        """:meth:`IterationTrace.steps`: the rows of :meth:`blocks`."""
+        if not names:
+            yield from itertools.repeat((), len(self))
+            return
+        for block in self.blocks(names):
+            yield from zip(*(column if isinstance(column, list) else list(column)
+                             for column in block))
 
-        ``x_k``, ``g_k`` and ``d_k`` are rebuilt from ``x_0``, ``g_0``,
-        ``A d_k``, ``alpha_k`` and ``beta_k`` by the solver's own updates,
-        and so equal the solve's to the bit; each is a fresh read-only
-        array the caller may keep.  Only what ``names`` needs is replayed:
-        under the recurrence G needs no d, and an explicit gradient needs
-        the iterate."""
-        picks = [tuple(_RECORD_FIELDS).index(name) for name in names]
-        need_g = not {"X", "G", "D"}.isdisjoint(names)
-        need_x = "X" in names or (need_g and self._update == GradientUpdate.EXPLICIT)
-        need_d = "D" in names or need_x
+    def blocks(self, names):
+        """One tuple per replay block: for each name, a fresh read-only
+        (rows, n) array of a vector, or a list of a scalar."""
         n = self._x0.size
+        for k0, k1, vectors in self._replay(names, lambda _, k0, k1: np.empty((k1 - k0, n))):
+            block = []
+            for name in names:
+                if name == "alpha":
+                    block.append(self._alpha[k0:k1])
+                elif name == "beta":
+                    block.append([math.nan if b is None else b for b in self._beta[k0:k1]])
+                else:
+                    vectors[name].setflags(write=False)
+                    block.append(vectors[name])
+            yield tuple(block)
+
+    def columns(self, names):
+        """:meth:`IterationTrace.columns`: the replay writes its blocks
+        straight into the rows of the (K, n) arrays asked for."""
+        K, n = len(self), self._x0.size
+        out = {name: np.empty((K, n)) for name in names if name in ("X", "G", "D", "AD")}
+
+        def new_block(name, k0, k1):
+            return out[name][k0:k1] if name in out else np.empty((k1 - k0, n))
+
+        for k0, k1, vectors in self._replay(names, new_block):
+            if "AD" in out:
+                out["AD"][k0:k1] = vectors["AD"]
+        scalars = {"alpha": self._alpha,
+                   "beta": [math.nan if b is None else b for b in self._beta]}
+        arrays = []
+        for name in names:
+            if name in scalars:
+                arrays.append(np.array(scalars[name], dtype=np.float64))
+            elif name in out:
+                arrays.append(out.pop(name))
+            else:  # a vector asked for again gets an array of its own
+                arrays.append(arrays[names.index(name)].copy())
+        return tuple(arrays)
+
+    def _replay(self, names, new_block):
+        """The one replay of the trace, in row blocks.
+
+        Yields ``(k0, k1, vectors)`` for consecutive row ranges, each
+        within one stored block of ``A d`` rows and at most
+        ``_BLOCK_BYTES`` of a vector.  ``vectors`` maps ``"AD"`` to a view
+        of the stored rows and each of ``"X"``, ``"G"`` and ``"D"`` that
+        ``names`` needs to the array ``new_block(name, k0, k1)``, filled.
+
+        The recurrence ``g_{k+1} = g_k + alpha_k A d_k`` and the iterate
+        ``x_{k+1} = x_k + alpha_k d_k`` are elementwise, so a block
+        multiplies its rows by their ``alpha_k`` in one call and then adds
+        them up row after row: every element is rounded as the solver's
+        ``_add_scaled`` rounds it.  ``d_k`` goes row by row through
+        ``_direction``, and an explicit gradient ``A x_k + b`` row by row
+        through ``_advance``.  Only what ``names`` needs is replayed: under
+        the recurrence G needs no d, and an explicit gradient needs the
+        iterate.
+        """
+        need_g = not {"X", "G", "D"}.isdisjoint(names)
+        explicit = self._update == GradientUpdate.EXPLICIT
+        need_x = "X" in names or (need_g and explicit)
+        need_d = "D" in names or need_x
+        n, K = self._x0.size, len(self)
+        limit = 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
+        alpha = np.array(self._alpha, dtype=np.float64)
         tmp = np.empty(n)
-        x, g, d, Ad_prev = self._x0 if need_x else None, self._g0, None, None
-        ad_rows = itertools.islice(itertools.chain.from_iterable(self._ad_blocks), len(self))
-        for k, (Ad, alpha, beta_k) in enumerate(zip(ad_rows, self._alpha, self._beta)):
-            if k and need_g:
-                x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
-                                Ad_prev, x, g, np.empty(n) if need_x else None,
-                                np.empty(n), tmp)
-                g.setflags(write=False)
-                if need_x:
-                    x.setflags(write=False)
-            if need_d:
-                d = _direction(g, d, beta_k, np.empty(n), tmp)
-                d.setflags(write=False)
-            values = (x, g, d, Ad, alpha, math.nan if beta_k is None else beta_k)
-            yield tuple(map(values.__getitem__, picks))
-            Ad_prev = Ad
+        prev = None  # the vectors of the block before
+        k0 = 0
+        for stored in self._ad_blocks:
+            for start in range(0, len(stored), limit):
+                if k0 == K:
+                    return
+                AD = stored[start:start + min(limit, K - k0)]
+                k1 = k0 + len(AD)
+                vectors = {"AD": AD}
+                if need_g:
+                    G = vectors["G"] = new_block("G", k0, k1)
+                    D = vectors["D"] = new_block("D", k0, k1) if need_d else None
+                    X = vectors["X"] = new_block("X", k0, k1) if need_x else None
+                    # the rows the block before ended with
+                    x = None if prev is None or not need_x else prev["X"][-1]
+                    d = None if prev is None or not need_d else prev["D"][-1]
+                    if explicit:  # all three, one row at a time
+                        for i, k in enumerate(range(k0, k1)):
+                            if k:
+                                _advance(self._problem, self._update, alpha[k - 1], d,
+                                         None, x, None, X[i], G[i], tmp)
+                            else:
+                                X[0], G[0] = self._x0, self._g0
+                            x, d = X[i], _direction(G[i], d, self._beta[k], D[i], tmp)
+                    else:
+                        if prev is None:
+                            G[0] = self._g0
+                        else:
+                            _add_scaled(prev["G"][-1], prev["AD"][-1], alpha[k0 - 1],
+                                        G[0], tmp)
+                        _add_rows(G, AD, alpha[k0:k1 - 1])
+                        if need_x:  # its first row reads d before the loop moves it
+                            if prev is None:
+                                X[0] = self._x0
+                            else:
+                                _add_scaled(x, d, alpha[k0 - 1], X[0], tmp)
+                        if need_d:
+                            for i, k in enumerate(range(k0, k1)):
+                                d = _direction(G[i], d, self._beta[k], D[i], tmp)
+                        if need_x:
+                            _add_rows(X, D, alpha[k0:k1 - 1])
+                yield k0, k1, vectors
+                prev, k0 = vectors, k1
+
+
+def _add_rows(out, terms, scales) -> None:
+    """``out[i] = out[i - 1] + scales[i - 1] * terms[i - 1]`` for every row
+    after the first, rounded as :func:`_add_scaled` rounds one step: the
+    products come from one call, the sums row after row."""
+    if len(out) > 1:
+        rest = out[1:]
+        np.multiply(terms[:-1], scales[:, np.newaxis], out=rest)
+        for row, later in zip(out, rest):
+            np.add(row, later, out=later)
 
 
 _RECORD_FIELDS = {"X": "x", "G": "g", "D": "d", "AD": "Ad", "alpha": "alpha",
@@ -657,6 +790,7 @@ def solve(problem: QuadraticProblem, x_0=None,
 
     alphas: list[float] = []
     betas: list[float | None] = []
+    ggs: list[float] = []
     breakdown_note: str | None = None
     prev = None
     try:
@@ -667,6 +801,7 @@ def solve(problem: QuadraticProblem, x_0=None,
                 break
             alphas.append(alpha)
             betas.append(beta_k)
+            ggs.append(gg)
             prev = (g, Ad, alpha, gg)
             g = next(g_rows)
     except BreakdownError as err:
@@ -676,7 +811,7 @@ def solve(problem: QuadraticProblem, x_0=None,
     records = ()
     if config.record_trace:
         records = _TraceRecords(problem, config.gradient_update, *start, ad_blocks,
-                                alphas, betas)
+                                alphas, betas, ggs)
     # final_g is a copy, so that keeping it does not keep the ring alive
     trace = IterationTrace(records, x, g.copy(), len(alphas), reason, tol,
                            breakdown=breakdown_note)

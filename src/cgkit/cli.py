@@ -61,8 +61,8 @@ def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
                       help="cluster count for --dist clustered")
     opts.add_argument("--seed", type=int, default=0,
                       help="matrix seed for random_spd")
-    opts.add_argument("--b", choices=("ones", "random"), default="ones",
-                      help="linear-term mode for builtin problems")
+    opts.add_argument("--b", choices=("ones", "random"), default=None,
+                      help="linear-term mode (default: ones)")
     opts.add_argument("--b-seed", type=int, default=0,
                       help="seed for --b random")
     opts.add_argument("--b-file", metavar="PATH",
@@ -95,6 +95,13 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
 def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     if (args.matrix is None) == (args.builtin is None):
         raise CgKitError("give exactly one problem source: --matrix or --builtin")
+    if args.b_file is not None and args.builtin is not None:
+        raise CgKitError("--b-file works with --matrix sources")
+    given = [flag for flag, value in (("--b", args.b), ("--b-file", args.b_file),
+                                      ("--known-solution", args.known_solution))
+             if value is not None]
+    if len(given) > 1:
+        raise CgKitError(f"give at most one linear term, not {' and '.join(given)}")
     b_mode, known = "ones", None
     if args.known_solution is not None:
         b_mode = "from_known_solution"
@@ -204,9 +211,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    problem, description = _build_problem(args)
-    if args.matrix is not None:
+    if args.matrix is not None:  # refused before the file is read
         raise CgKitError("generate works with --builtin sources")
+    problem, _ = _build_problem(args)
     write_matrix_market(problem.A, args.out_matrix, fmt=args.mtx_format)
     write_vector_file(problem.b, args.out_b)
     print(f"matrix written to {args.out_matrix}")

@@ -608,3 +608,98 @@ class TestSolverConfig:
         assert config.stepsize_rule is StepsizeRule.GRADIENT_ORTHOGONALITY
         assert config.beta_rule is BetaRule.DY
         assert config.gradient_update is GradientUpdate.EXPLICIT
+
+
+class TestBlockReplay:
+    """The trace replays x_k, g_k and d_k in row blocks; steps, columns and
+    records all equal the step chain, which computes every step afresh."""
+
+    # at n = 300 a replay block holds 64 rows; the solver's A d blocks hold
+    # 8, 16, 32, 64, 128, ... rows, so blocks end after 8, 24, 56, 120,
+    # 184, 248, 312, ... steps
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return builtin_problem(BuiltinProblemSpec(
+            family="random_spd", n=300, seed=4, b_mode="random", b_seed=4,
+            spectrum=SpectrumSpec(lam_min=1.0, lam_max=1e4)))
+
+    @staticmethod
+    def _chain(problem, config, K):
+        rec = initial_record(problem, None, config)
+        records = [rec]
+        while len(records) < K:
+            rec = step(problem, rec, config)
+            records.append(rec)
+        return records
+
+    @staticmethod
+    def _check(problem, config, K):
+        _, trace = solve(problem, config=replace(config, max_iterations=K))
+        assert trace.terminated_at == K
+        assert trace.termination_reason == TerminationReason.ITERATION_CAP
+        chain = TestBlockReplay._chain(problem, config, K)
+        names = ("X", "G", "D", "AD", "alpha", "beta")
+        expected = [(rec.x, rec.g, rec.d, rec.Ad, rec.alpha,
+                     np.nan if rec.beta is None else rec.beta) for rec in chain]
+        steps = list(trace.steps(*names))
+        assert len(steps) == K
+        for got, want in zip(steps, expected):
+            for value, reference in zip(got, want):
+                np.testing.assert_array_equal(value, reference)
+        for column, index in zip(trace.columns(*names), range(len(names))):
+            np.testing.assert_array_equal(column, [row[index] for row in expected])
+        for rec, want in zip(trace.records, chain):
+            assert (rec.k, rec.alpha, rec.beta) == (want.k, want.alpha, want.beta)
+            for name in ("x", "g", "d", "Ad"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(want, name))
+        # each name asked for alone replays the same rows
+        for index, name in enumerate(names[:3]):
+            np.testing.assert_array_equal(trace.columns(name)[0],
+                                          [row[index] for row in expected])
+
+    @pytest.mark.parametrize("K", [1, 8, 9, 56, 121, 260],
+                             ids=lambda K: f"K{K}")
+    @pytest.mark.parametrize("beta_rule", list(BetaRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
+    def test_steps_columns_and_records_equal_the_step_chain(self, problem, update,
+                                                             beta_rule, K):
+        self._check(problem, SolverConfig(beta_rule=beta_rule, gradient_update=update), K)
+
+    @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
+    def test_one_row_blocks_equal_the_step_chain(self, update):
+        # from n = 32768 on a block holds one row of each vector
+        problem = builtin_problem(BuiltinProblemSpec(
+            family="laplacian1d", n=40_000, b_mode="random", b_seed=2))
+        self._check(problem, SolverConfig(gradient_update=update), 11)
+
+    def test_steps_hand_out_read_only_rows_of_a_block(self, problem):
+        _, trace = solve(problem, config=SolverConfig(max_iterations=200))
+        rows = [row for row, in trace.steps("G")]
+        assert all(not row.flags.writeable for row in rows)
+        # rows 0..7 and 8..23 are replayed as two blocks, as stored
+        assert rows[0].base is rows[7].base
+        assert rows[8].base is rows[23].base
+        assert rows[7].base is not rows[8].base
+        assert rows[0].base.shape == (8, problem.n)
+        # the stored block of rows 120..247 is replayed in blocks of at
+        # most 256 kB: 64 rows at n = 300
+        assert rows[120].base is rows[183].base
+        assert rows[183].base is not rows[184].base
+        assert rows[120].base.shape == (64, problem.n)
+
+    @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
+    def test_document_rows_equal_the_records(self, problem, update):
+        # grad_norm comes from the solver's g.g; it is np.linalg.norm(g_k)
+        config = SolverConfig(gradient_update=update, max_iterations=70)
+        _, trace = solve(problem, config=config)
+        doc = TraceDocument.from_solve(problem, config, trace, include_vectors=True,
+                                       timestamp=False)
+        for row, vectors, rec in zip(doc.iterations, doc.vectors, trace.records):
+            assert row["grad_norm"] == float(np.linalg.norm(rec.g))
+            assert row["objective"] == 0.5 * float(np.dot(rec.x, rec.g + problem.b))
+            assert (row["alpha"], row["beta"]) == (rec.alpha, rec.beta)
+            assert vectors == {"k": rec.k, "x": rec.x.tolist(), "g": rec.g.tolist(),
+                               "d": rec.d.tolist()}
+        by_hand = replace(trace, records=tuple(trace.records))
+        assert TraceDocument.from_solve(problem, config, by_hand, include_vectors=True,
+                                        timestamp=False) == doc

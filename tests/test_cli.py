@@ -287,3 +287,60 @@ def test_python_dash_m_runs_without_install():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.startswith("usage: cgkit")
+
+
+class TestOneLinearTerm:
+    """Each source of b that would be ignored is an error, and the check
+    comes before any file is read."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        mtx = tmp_path / "a.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 2\n1 1 2.0\n2 2 1.0\n")
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("-2\n-1\n")
+        return str(mtx), str(bfile)
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "compare"])
+    def test_b_file_with_builtin(self, command, capsys):
+        code = run_cli(command, "--builtin", "laplacian1d", "--n", "5",
+                       "--b-file", "/nonexistent/b.txt")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "--b-file works with --matrix" in err
+
+    @pytest.mark.parametrize("extra", [("--b", "random"), ("--b", "ones"),
+                                       ("--known-solution", "1,1")],
+                             ids=["b-random", "b-ones", "known-solution"])
+    def test_b_file_with_another_linear_term(self, files, extra, capsys):
+        mtx, bfile = files
+        code = run_cli("solve", "--matrix", mtx, "--b-file", bfile, *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "at most one linear term" in err
+
+    @pytest.mark.parametrize("mode", ["ones", "random"])
+    def test_b_mode_with_known_solution(self, mode, capsys):
+        code = run_cli("solve", "--builtin", "diagonal", "--eigs", "2,1",
+                       "--b", mode, "--known-solution", "1,1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "at most one linear term" in err
+
+    def test_one_linear_term_each_still_works(self, files, capsys):
+        mtx, bfile = files
+        assert run_cli("solve", "--matrix", mtx, "--b-file", bfile) == 0
+        assert run_cli("solve", "--matrix", mtx, "--b", "random") == 0
+        assert run_cli("solve", "--matrix", mtx, "--known-solution", "1,2") == 0
+        assert run_cli("solve", "--builtin", "laplacian1d", "--n", "4", "--b", "ones") == 0
+
+
+def test_generate_refuses_a_matrix_source_before_reading_it(tmp_path, capsys):
+    code = run_cli("generate", "--matrix", "/nonexistent/a.mtx",
+                   "--out-matrix", str(tmp_path / "o.mtx"),
+                   "--out-b", str(tmp_path / "o.b"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "generate works with --builtin sources" in err
+    assert not (tmp_path / "o.mtx").exists()

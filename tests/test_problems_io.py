@@ -441,3 +441,123 @@ class TestTraceDocuments:
         doc = TraceDocument.from_solve(problem, config, trace)
         with pytest.raises(ValueError):
             write_trace(doc, io.StringIO(), fmt="yaml")
+
+
+def _read_vector_lines(stream) -> np.ndarray:
+    """The vector-file reader as it was: one line of the stream at a time."""
+    values = []
+    for lineno, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith(("#", "%")):
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as err:
+            raise MatrixMarketError(f"bad vector entry: {err}", line=lineno) from None
+    return np.asarray(values, dtype=np.float64)
+
+
+def _outcome(read):
+    try:
+        return "values", [value.hex() for value in read().tolist()]
+    except MatrixMarketError as err:
+        return "error", str(err), err.line
+
+
+_VECTOR_LINES = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda v: f"  {v:.17g}\t"),
+    st.sampled_from(["", "   ", "# note", "% note", "  % 1.0", "nan", "-Infinity",
+                     "1_000", "1e", "0x1", "+.5", "1 2", "1,5"]),
+    # control characters that str.splitlines would split on, and bytes
+    # outside ASCII, which read as U+FFFD
+    st.text(alphabet="0123456789.eE+-_ \t\x0b\x0c\x1c\x1f#%xé ", max_size=8),
+)
+
+
+class TestVectorFileOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_VECTOR_LINES, max_size=12), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans())
+    def test_equals_the_line_loop(self, lines, newline, trailing):
+        data = (newline.join(lines) + (newline if trailing else "")).encode()
+
+        def line_loop():
+            stream = io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
+                                      errors="replace")
+            return _read_vector_lines(stream)
+
+        assert _outcome(lambda: read_vector_file(io.BytesIO(data))) == _outcome(line_loop)
+        # a caller's text stream splits lines by its own newline setting
+        text = data.decode("ascii", "replace")
+        assert (_outcome(lambda: read_vector_file(io.StringIO(text, newline="")))
+                == _outcome(lambda: _read_vector_lines(io.StringIO(text, newline=""))))
+
+    def test_bad_entry_after_many_good_ones(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("# b\n" + "1.5\n" * 1000 + "\n2.5x\n3\n")
+        with pytest.raises(MatrixMarketError) as info:
+            read_vector_file(path)
+        assert info.value.line == 1003
+        assert "could not convert string to float: '2.5x'" in str(info.value)
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.floats().map(np.float64), st.text())
+
+
+def _json_documents(keys):
+    return st.recursive(
+        _JSON_SCALARS,
+        lambda children: st.one_of(st.lists(children, max_size=5),
+                                   st.lists(children, max_size=5).map(tuple),
+                                   st.dictionaries(keys, children, max_size=5)),
+        max_leaves=40)
+
+
+class TestIndentedJson:
+    """``_json_indented`` writes what ``json.dumps(obj, indent=2)`` writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_json_documents(st.text()))
+    def test_equals_json_dumps(self, obj):
+        from cgkit.problems_io import _json_indented
+
+        assert _json_indented(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_json_documents(st.one_of(st.text(), st.integers(), st.floats(),
+                                     st.booleans(), st.none())))
+    def test_keys_of_other_types_equal_json_dumps(self, obj):
+        from cgkit.problems_io import _json_indented
+
+        assert _json_indented(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1, np.arange(2)]}, [{"b": {1, 2}}], {"c": {(1, 2): 3}}, np.int64(3)],
+        ids=["array", "set", "tuple-key", "numpy-int"])
+    def test_unserializable_values_raise_as_json_dumps(self, obj):
+        from cgkit.problems_io import _json_indented
+
+        with pytest.raises(TypeError) as expected:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            _json_indented(obj)
+        assert str(got.value) == str(expected.value)
+
+    def test_circular_reference_raises(self):
+        from cgkit.problems_io import _json_indented
+
+        loop = {"a": [1.0]}
+        loop["a"].append(loop)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            _json_indented(loop)
+
+    def test_trace_document_equals_json_dumps(self, worked_problem):
+        config = SolverConfig()
+        _, trace = solve(worked_problem, config=config)
+        doc = TraceDocument.from_solve(worked_problem, config, trace,
+                                       report=run_all_checks(trace, worked_problem),
+                                       include_vectors=True, timestamp=False)
+        data = json.loads(doc.to_json())
+        assert doc.to_json() == json.dumps(data, indent=2)

@@ -218,10 +218,11 @@ class IterationTrace:
     sequence over them: ``len()`` costs nothing, and the first item access
     replays every ``g_k``, ``x_k`` and ``d_k`` once and keeps them.
     :meth:`steps` hands out the named vectors and scalars one step at a
-    time, and :meth:`columns` stacked copies of them, replaying only what
-    is asked for, in row blocks.  In explicit gradient mode each replayed
-    ``g_k`` costs the matvec ``A x_k`` the solve paid.  A trace built by
-    hand from a tuple of records stacks the records' own vectors.
+    time, and :meth:`columns` stacked copies of them.  Both read
+    :meth:`_blocks`, which replays ``g_k`` and ``d_k`` in row blocks, and
+    ``x_k`` only when it is named or the gradient is explicit; then each
+    replayed ``g_k`` costs the matvec ``A x_k`` the solve paid.  A trace
+    built by hand from a tuple of records reads the records' own vectors.
     """
 
     records: Sequence[IterationRecord]
@@ -259,53 +260,50 @@ class IterationTrace:
                    for vector in (rec.x, rec.g, rec.d, rec.Ad) if vector is not None)
 
     def steps(self, *names: str) -> Iterator[tuple]:
-        """One tuple of the named values per recorded iteration, in order.
+        """One tuple of the named values per recorded iteration, in order:
+        the rows of :meth:`_blocks`.
 
         ``"X"``, ``"G"``, ``"D"`` and ``"AD"`` name the read-only vectors
         ``x_k``, ``g_k``, ``d_k`` and ``A d_k``; ``"alpha"`` and ``"beta"``
         the scalars, ``beta`` NaN where none was recorded (k = 0).  A
-        traced solve replays X, G and D a block of rows at a time (at most
-        256 kB of each vector), computing only what the names need (in
-        explicit gradient mode G needs the iterates, and a matvec per
-        step).  Its vectors are read-only row views of a block, so a
-        caller that keeps no step's vectors holds a few blocks at a time,
-        not K vectors.  A record lacking a named vector or its stepsize
-        raises :class:`~cgkit.errors.IncompleteTraceError`.
+        traced solve's vectors are read-only row views of its replay
+        blocks, so a caller that keeps no step's vectors holds a few
+        blocks at a time, not K vectors.  A record lacking a named vector
+        or its stepsize raises :class:`~cgkit.errors.IncompleteTraceError`.
         """
-        if isinstance(self.records, _TraceRecords):
-            return self.records.steps(names)
-        return _record_steps(self.records, names)
-
-    def _blocks(self, *names: str) -> Iterator[tuple]:
-        """:meth:`steps` a block of rows at a time: per name a read-only
-        (rows, n) array of a vector, or a list of a scalar.  A traced solve
-        hands out its replay blocks, a trace built by hand one row each."""
-        if isinstance(self.records, _TraceRecords):
-            return self.records.blocks(names)
-        return (tuple(value[np.newaxis] if isinstance(value, np.ndarray) else [value]
-                      for value in values)
-                for values in _record_steps(self.records, names))
-
-    def _grad_norms(self) -> list[float]:
-        """``||g_k||`` per record: from the ``g_k . g_k`` a traced solve
-        recorded, or from each hand-built record's gradient."""
-        if isinstance(self.records, _TraceRecords):
-            # sqrt(g . g) is np.linalg.norm(g) to the bit
-            return [math.sqrt(gg) for gg in self.records._gg]
-        return [rec.grad_norm() for rec in self.records]
+        if not names:
+            return itertools.repeat((), len(self.records))
+        return _rows(self._blocks(names))
 
     def columns(self, *names: str) -> tuple[np.ndarray, ...]:
         """Fresh arrays, one per name, stacking :meth:`steps`: a vector name
-        gives a (K, n) array of rows, a scalar name a length-K array."""
-        if isinstance(self.records, _TraceRecords):
-            return self.records.columns(names)
+        gives a (K, n) array of rows, a scalar name a length-K array.  A
+        traced solve replays X, G and D straight into their rows."""
+        if not names:
+            return ()
         K, n = len(self.records), self.final_x.size
-        out = tuple(np.empty((K,) if name in ("alpha", "beta") else (K, n))
-                    for name in names)
-        for k, values in enumerate(self.steps(*names)):
-            for column, value in zip(out, values):
-                column[k] = value
+        out = tuple(np.empty((K,) if name in _SCALARS else (K, n)) for name in names)
+        k = 0
+        for block in self._blocks(names, dict(zip(names, out))):
+            for column, values in zip(out, block):
+                # rows replayed into this column are copied onto themselves,
+                # which NumPy skips
+                column[k:k + len(values)] = values
+            k += len(values)
         return out
+
+    def _blocks(self, names: tuple[str, ...], into: dict | None = None) -> Iterator[tuple]:
+        """The one reader of the trace: per block of steps, for each name a
+        read-only (rows, n) array of a vector or a list of a scalar.
+        ``"gg"`` names ``g_k . g_k``, as the solver computed it.
+
+        A traced solve hands out its replay blocks (see
+        :meth:`_TraceRecords._replay`), writing a vector that ``into`` maps
+        to a (K, n) array into its rows; a trace built by hand hands out
+        each record as a block of one row."""
+        if isinstance(self.records, _TraceRecords):
+            return self.records._replay(names, into or {})
+        return (tuple(_record_block(rec, name) for name in names) for rec in self.records)
 
 
 def gradient(problem: QuadraticProblem, x) -> np.ndarray:
@@ -396,14 +394,14 @@ def _advance(problem: QuadraticProblem, update: GradientUpdate, alpha: float,
     """``(x_{k+1}, g_{k+1})`` from step ``k``, into ``x_out`` and ``g_out``
     (which may be ``x`` and ``g``): ``x_k + alpha_k d_k``, and the gradient
     by the recurrence ``g_k + alpha_k A d_k`` or as ``A x_{k+1} + b``.  With
-    ``x`` None (the recurrence only) the iterate is skipped and comes back
+    ``g`` None under the recurrence (the trace replay, which adds up those
+    gradients a block at a time) the gradient is skipped and comes back
     None.  The solver and the trace replay both advance here, so a
     replayed step equals the solved one to the bit."""
-    if x is not None:
-        x = _add_scaled(x, d, alpha, x_out, tmp)
-    if update == GradientUpdate.RECURRENCE:
-        return x, _add_scaled(g, Ad, alpha, g_out, tmp)
-    return x, problem._gradient(x, out=g_out)
+    x = _add_scaled(x, d, alpha, x_out, tmp)
+    if update == GradientUpdate.EXPLICIT:
+        return x, problem._gradient(x, out=g_out)
+    return x, None if g is None else _add_scaled(g, Ad, alpha, g_out, tmp)
 
 
 def stepsize_exact(g_k, d_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
@@ -532,9 +530,8 @@ _BLOCK_BYTES = 1 << 18
 class _TraceRecords(Sequence):
     """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
     the first K rows ``A d_k`` of their blocks, ``alpha_k``, ``beta_k`` and
-    the solver's ``g_k . g_k``.  :meth:`_replay` is the one replay; steps,
-    columns and records all read it, and the first item access runs it
-    once for every vector and keeps the records."""
+    the solver's ``g_k . g_k``.  :meth:`_replay` is the one replay; the
+    first item access runs it once for every vector and keeps the records."""
 
     __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
                  "_beta", "_gg", "_items")
@@ -558,7 +555,7 @@ class _TraceRecords(Sequence):
             self._items = tuple(
                 IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha, beta=self._beta[k], Ad=Ad)
                 for k, (x, g, d, Ad, alpha) in enumerate(
-                    self.steps(("X", "G", "D", "AD", "alpha"))))
+                    _rows(self._replay(("X", "G", "D", "AD", "alpha"), {}))))
         return self._items[index]
 
     def __eq__(self, other):
@@ -570,83 +567,31 @@ class _TraceRecords(Sequence):
     def stored_bytes(self) -> int:
         return (len(self) + 2) * self._x0.nbytes
 
-    def steps(self, names):
-        """:meth:`IterationTrace.steps`: the rows of :meth:`blocks`."""
-        if not names:
-            yield from itertools.repeat((), len(self))
-            return
-        for block in self.blocks(names):
-            yield from zip(*(column if isinstance(column, list) else list(column)
-                             for column in block))
+    def _replay(self, names, into: dict):
+        """:meth:`IterationTrace._blocks` of a traced solve, in row blocks.
 
-    def blocks(self, names):
-        """One tuple per replay block: for each name, a fresh read-only
-        (rows, n) array of a vector, or a list of a scalar."""
-        n = self._x0.size
-        for k0, k1, vectors in self._replay(names, lambda _, k0, k1: np.empty((k1 - k0, n))):
-            block = []
-            for name in names:
-                if name == "alpha":
-                    block.append(self._alpha[k0:k1])
-                elif name == "beta":
-                    block.append([math.nan if b is None else b for b in self._beta[k0:k1]])
-                else:
-                    vectors[name].setflags(write=False)
-                    block.append(vectors[name])
-            yield tuple(block)
+        Each block lies within one stored block of ``A d`` rows and holds
+        at most ``_BLOCK_BYTES`` of a vector.  ``"AD"`` is a view of the
+        stored rows; ``"X"``, ``"G"`` and ``"D"`` go into their rows of
+        ``into[name]`` if given, into fresh arrays otherwise.
 
-    def columns(self, names):
-        """:meth:`IterationTrace.columns`: the replay writes its blocks
-        straight into the rows of the (K, n) arrays asked for."""
-        K, n = len(self), self._x0.size
-        out = {name: np.empty((K, n)) for name in names if name in ("X", "G", "D", "AD")}
-
-        def new_block(name, k0, k1):
-            return out[name][k0:k1] if name in out else np.empty((k1 - k0, n))
-
-        for k0, k1, vectors in self._replay(names, new_block):
-            if "AD" in out:
-                out["AD"][k0:k1] = vectors["AD"]
-        scalars = {"alpha": self._alpha,
-                   "beta": [math.nan if b is None else b for b in self._beta]}
-        arrays = []
-        for name in names:
-            if name in scalars:
-                arrays.append(np.array(scalars[name], dtype=np.float64))
-            elif name in out:
-                arrays.append(out.pop(name))
-            else:  # a vector asked for again gets an array of its own
-                arrays.append(arrays[names.index(name)].copy())
-        return tuple(arrays)
-
-    def _replay(self, names, new_block):
-        """The one replay of the trace, in row blocks.
-
-        Yields ``(k0, k1, vectors)`` for consecutive row ranges, each
-        within one stored block of ``A d`` rows and at most
-        ``_BLOCK_BYTES`` of a vector.  ``vectors`` maps ``"AD"`` to a view
-        of the stored rows and each of ``"X"``, ``"G"`` and ``"D"`` that
-        ``names`` needs to the array ``new_block(name, k0, k1)``, filled.
-
-        The recurrence ``g_{k+1} = g_k + alpha_k A d_k`` and the iterate
-        ``x_{k+1} = x_k + alpha_k d_k`` are elementwise, so a block
-        multiplies its rows by their ``alpha_k`` in one call and then adds
-        them up row after row: every element is rounded as the solver's
-        ``_add_scaled`` rounds it.  ``d_k`` goes row by row through
-        ``_direction``, and an explicit gradient ``A x_k + b`` row by row
-        through ``_advance``.  Only what ``names`` needs is replayed: under
-        the recurrence G needs no d, and an explicit gradient needs the
-        iterate.
+        The recurrence ``g_{k+1} = g_k + alpha_k A d_k`` is elementwise, so
+        a block multiplies its rows by their ``alpha_k`` in one call and
+        then adds them up row after row (:func:`_add_rows`): every element
+        is rounded as the solver's :func:`_add_scaled` rounds it.  Then one
+        row loop replays ``d_k`` through :func:`_direction` and, when X is
+        named or the gradient is explicit, ``x_k`` (and ``A x_k + b``)
+        through :func:`_advance`, as the solver does.
         """
-        need_g = not {"X", "G", "D"}.isdisjoint(names)
         explicit = self._update == GradientUpdate.EXPLICIT
-        need_x = "X" in names or (need_g and explicit)
-        need_d = "D" in names or need_x
+        vector_names = ("X", "G", "D") if explicit or "X" in names else ("G", "D")
         n, K = self._x0.size, len(self)
         limit = 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
         alpha = np.array(self._alpha, dtype=np.float64)
+        scalars = {"alpha": self._alpha, "gg": self._gg,
+                   "beta": [math.nan if b is None else b for b in self._beta]}
         tmp = np.empty(n)
-        prev = None  # the vectors of the block before
+        x = d = g = ad = None  # the last rows of the block before
         k0 = 0
         for stored in self._ad_blocks:
             for start in range(0, len(stored), limit):
@@ -654,41 +599,29 @@ class _TraceRecords(Sequence):
                     return
                 AD = stored[start:start + min(limit, K - k0)]
                 k1 = k0 + len(AD)
-                vectors = {"AD": AD}
-                if need_g:
-                    G = vectors["G"] = new_block("G", k0, k1)
-                    D = vectors["D"] = new_block("D", k0, k1) if need_d else None
-                    X = vectors["X"] = new_block("X", k0, k1) if need_x else None
-                    # the rows the block before ended with
-                    x = None if prev is None or not need_x else prev["X"][-1]
-                    d = None if prev is None or not need_d else prev["D"][-1]
-                    if explicit:  # all three, one row at a time
-                        for i, k in enumerate(range(k0, k1)):
-                            if k:
-                                _advance(self._problem, self._update, alpha[k - 1], d,
-                                         None, x, None, X[i], G[i], tmp)
-                            else:
-                                X[0], G[0] = self._x0, self._g0
-                            x, d = X[i], _direction(G[i], d, self._beta[k], D[i], tmp)
-                    else:
-                        if prev is None:
-                            G[0] = self._g0
-                        else:
-                            _add_scaled(prev["G"][-1], prev["AD"][-1], alpha[k0 - 1],
-                                        G[0], tmp)
-                        _add_rows(G, AD, alpha[k0:k1 - 1])
-                        if need_x:  # its first row reads d before the loop moves it
-                            if prev is None:
-                                X[0] = self._x0
-                            else:
-                                _add_scaled(x, d, alpha[k0 - 1], X[0], tmp)
-                        if need_d:
-                            for i, k in enumerate(range(k0, k1)):
-                                d = _direction(G[i], d, self._beta[k], D[i], tmp)
-                        if need_x:
-                            _add_rows(X, D, alpha[k0:k1 - 1])
-                yield k0, k1, vectors
-                prev, k0 = vectors, k1
+                vectors = {name: into[name][k0:k1] if name in into else np.empty((k1 - k0, n))
+                           for name in vector_names}
+                X, G, D = vectors.get("X"), vectors["G"], vectors["D"]
+                if k0 == 0:
+                    G[0] = self._g0
+                    if X is not None:
+                        X[0] = x = self._x0
+                elif not explicit:
+                    _add_scaled(g, ad, alpha[k0 - 1], G[0], tmp)
+                if not explicit:
+                    _add_rows(G, AD, alpha[k0:k1 - 1])
+                for i, k in enumerate(range(k0, k1)):
+                    if k and X is not None:
+                        x, _ = _advance(self._problem, self._update, alpha[k - 1], d, None,
+                                        x, None, X[i], G[i], tmp)
+                    d = _direction(G[i], d, self._beta[k], D[i], tmp)
+                g, ad = G[-1], AD[-1]
+                vectors["AD"] = AD
+                for block in vectors.values():
+                    block.setflags(write=False)
+                yield tuple(scalars[name][k0:k1] if name in scalars else vectors[name]
+                            for name in names)
+                k0 = k1
 
 
 def _add_rows(out, terms, scales) -> None:
@@ -702,19 +635,26 @@ def _add_rows(out, terms, scales) -> None:
             np.add(row, later, out=later)
 
 
+_SCALARS = ("alpha", "beta", "gg")
 _RECORD_FIELDS = {"X": "x", "G": "g", "D": "d", "AD": "Ad", "alpha": "alpha",
                   "beta": "beta"}
 
 
-def _record_steps(records, names):
-    """:meth:`IterationTrace.steps` over hand-built records."""
-    attrs = [_RECORD_FIELDS[name] for name in names]
-    for rec in records:
-        values = tuple(getattr(rec, attr) for attr in attrs)
-        for attr, value in zip(attrs, values):
-            if value is None and attr != "beta":  # an unrecorded beta is NaN
-                raise IncompleteTraceError(f"record {rec.k} has no {attr}")
-        yield tuple(math.nan if value is None else value for value in values)
+def _record_block(rec: IterationRecord, name: str):
+    """The value ``name`` of a hand-built record as a block of one row."""
+    if name == "gg":
+        return [float(np.dot(rec.g, rec.g))]
+    value = getattr(rec, _RECORD_FIELDS[name])
+    if value is None and name != "beta":  # an unrecorded beta is NaN
+        raise IncompleteTraceError(f"record {rec.k} has no {_RECORD_FIELDS[name]}")
+    if name in _SCALARS:
+        return [math.nan if value is None else value]
+    return value[np.newaxis]
+
+
+def _rows(blocks: Iterator[tuple]) -> Iterator[tuple]:
+    """One tuple per step from :meth:`IterationTrace._blocks`."""
+    return itertools.chain.from_iterable(zip(*block) for block in blocks)
 
 
 def initial_record(problem: QuadraticProblem, x_0, config: SolverConfig | None = None) -> IterationRecord:

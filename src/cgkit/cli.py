@@ -56,15 +56,13 @@ def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
     opts.add_argument("--cond", type=float, default=None,
                       help="condition number for random_spd (spectrum in [1, cond])")
     opts.add_argument("--dist", choices=("loguniform", "linear", "clustered"),
-                      default="loguniform", help="random_spd spectrum layout")
-    opts.add_argument("--clusters", type=int, default=2,
-                      help="cluster count for --dist clustered")
-    opts.add_argument("--seed", type=int, default=0,
-                      help="matrix seed for random_spd")
+                      help="random_spd spectrum layout (default: loguniform)")
+    opts.add_argument("--clusters", type=int,
+                      help="cluster count for --dist clustered (default: 2)")
+    opts.add_argument("--seed", type=int, help="matrix seed for random_spd (default: 0)")
     opts.add_argument("--b", choices=("ones", "random"), default=None,
                       help="linear-term mode (default: ones)")
-    opts.add_argument("--b-seed", type=int, default=0,
-                      help="seed for --b random")
+    opts.add_argument("--b-seed", type=int, help="seed for --b random (default: 0)")
     opts.add_argument("--b-file", metavar="PATH",
                       help="vector file for the linear term (with --matrix)")
     opts.add_argument("--known-solution", metavar="V1,V2,...",
@@ -92,6 +90,12 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise CgKitError(f"{flag} expects comma-separated numbers: {err}") from None
 
 
+# the problem options only some builtin families read, and those families
+_FAMILY_OPTIONS = {"--n": BUILTIN_FAMILIES, "--eigs": ("diagonal",),
+                   "--cond": ("random_spd",), "--dist": ("random_spd",),
+                   "--clusters": ("random_spd",), "--seed": ("random_spd",)}
+
+
 def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     if (args.matrix is None) == (args.builtin is None):
         raise CgKitError("give exactly one problem source: --matrix or --builtin")
@@ -102,6 +106,15 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
              if value is not None]
     if len(given) > 1:
         raise CgKitError(f"give at most one linear term, not {' and '.join(given)}")
+    # an option the source would not read is refused, not dropped
+    for flag, families in _FAMILY_OPTIONS.items():
+        if getattr(args, flag[2:]) is not None and args.builtin not in families:
+            raise CgKitError(f"{flag} works with --builtin "
+                             f"{'sources' if len(families) > 1 else families[0]}")
+    if args.clusters is not None and args.dist != "clustered":
+        raise CgKitError("--clusters works with --dist clustered")
+    if args.b_seed is not None and args.b != "random":
+        raise CgKitError("--b-seed works with --b random")
     b_mode, known = "ones", None
     if args.known_solution is not None:
         b_mode = "from_known_solution"
@@ -111,7 +124,7 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     if args.matrix is not None:
         a = _read_matrix(args.matrix)  # QuadraticProblem below certifies it
         b = (read_vector_file(args.b_file) if args.b_file is not None
-             else _linear_term(a, b_mode, args.b_seed, known))
+             else _linear_term(a, b_mode, args.b_seed or 0, known))
         description = {"matrix": args.matrix, "n": a.n, "storage": a.storage}
         return QuadraticProblem(a, b), description
 
@@ -129,13 +142,14 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
             raise CgKitError("--builtin random_spd requires --n")
         cond = args.cond if args.cond is not None else 10.0
         spectrum = SpectrumSpec(lam_min=1.0, lam_max=cond,
-                                distribution=args.dist, clusters=args.clusters)
+                                distribution=args.dist or "loguniform",
+                                clusters=2 if args.clusters is None else args.clusters)
     elif n is None:
         raise CgKitError(f"--builtin {family} requires --n")
 
     spec = BuiltinProblemSpec(family=family, n=n, eigenvalues=eigenvalues,
-                              spectrum=spectrum, seed=args.seed, b_mode=b_mode,
-                              b_seed=args.b_seed, known_solution=known)
+                              spectrum=spectrum, seed=args.seed or 0, b_mode=b_mode,
+                              b_seed=args.b_seed or 0, known_solution=known)
     return builtin_problem(spec), spec.describe()
 
 

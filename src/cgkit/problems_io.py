@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -474,23 +475,28 @@ def write_vector_file(v, target) -> None:
 def read_vector_file(source) -> np.ndarray:
     """Read a one-number-per-line vector file ('#'/'%' lines are comments).
 
-    The stripped lines are read in one pass and each entry by Python's
-    ``float``; only when one fails are the lines walked again, to raise
-    :class:`MatrixMarketError` with its line number."""
+    An entry is a number in the syntax :func:`read_matrix_market` accepts.
+    The stripped lines are checked in one pass by ``_check_entries`` and
+    the entries then read by Python's ``float``.  The first line outside
+    that syntax raises :class:`MatrixMarketError` with its line number, in
+    ``float``'s words where ``float`` refuses it too."""
     with _open_text(source, "r") as stream:
-        lines = list(map(str.strip, stream))
-    entries = [text for text in lines if text and not text.startswith(("#", "%"))]
+        lines = ["" if text.startswith(("#", "%")) else text
+                 for text in map(str.strip, stream)]
+    body = "\n".join(lines) + "\n"
+    if body.count("\n") > max(len(lines), 1):  # a stream split at CR keeps LF in a line
+        body = "\n".join(text.replace("\n", "?") for text in lines) + "\n"
+    entries = [text for text in lines if text]
     try:
-        return np.fromiter(map(float, entries), dtype=np.float64, count=len(entries))
-    except ValueError:
-        for lineno, text in enumerate(lines, start=1):  # find the line
-            if text and not text.startswith(("#", "%")):
-                try:
-                    float(text)
-                except ValueError as err:
-                    raise MatrixMarketError(f"bad vector entry: {err}",
-                                            line=lineno) from None
+        _check_entries(np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8),
+                       1, len(entries), 1)
+    except MatrixMarketError as err:
+        try:
+            float(lines[err.line - 1])
+        except ValueError as refused:
+            raise MatrixMarketError(f"bad vector entry: {refused}", line=err.line) from None
         raise
+    return np.fromiter(map(float, entries), dtype=np.float64, count=len(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +546,21 @@ class TraceDocument:
             metadata["created"] = datetime.now(timezone.utc).isoformat()
         iterations = []
         vectors = [] if include_vectors else None
-        grad_norms = trace._grad_norms()
         # a block of steps at a time: a traced solve replays each block's
         # vectors as it is reached, and none is kept past its rows
         k = 0
-        for alphas, betas, X, G, D in trace._blocks("alpha", "beta", "X", "G", "D"):
+        names = ("alpha", "beta", "gg", "X", "G", "D")
+        for alphas, betas, ggs, X, G, D in trace._blocks(names):
             # f(x) = x.(g + b) / 2 since g = A x + b: the trace's gradient
             # saves a matvec per record
-            for alpha, beta, x, g_plus_b in zip(alphas, betas, X, np.add(G, problem.b)):
+            for alpha, beta, gg, x, g_plus_b in zip(alphas, betas, ggs, X,
+                                                    np.add(G, problem.b)):
                 iterations.append({
                     "k": k,
                     "alpha": float(alpha),
                     "beta": None if k == 0 else float(beta),
-                    "grad_norm": grad_norms[k],
+                    # sqrt(g . g) is np.linalg.norm(g) to the bit
+                    "grad_norm": math.sqrt(gg),
                     "objective": 0.5 * float(np.dot(x, g_plus_b)),
                 })
                 k += 1

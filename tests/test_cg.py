@@ -703,3 +703,37 @@ class TestBlockReplay:
         by_hand = replace(trace, records=tuple(trace.records))
         assert TraceDocument.from_solve(problem, config, by_hand, include_vectors=True,
                                         timestamp=False) == doc
+
+
+class TestOneReader:
+    """steps, columns and records read one block reader; a traced solve and
+    a trace built by hand from its records read the same."""
+
+    @pytest.fixture(params=["traced", "by-hand"])
+    def trace(self, request):
+        problem = make_spd_problem(np.linspace(1.0, 40.0, 20), seed=3)
+        _, trace = solve(problem, config=SolverConfig(max_iterations=12))
+        if request.param == "by-hand":
+            trace = replace(trace, records=tuple(trace.records))
+        return trace
+
+    def test_no_names(self, trace):
+        assert list(trace.steps()) == [()] * 12
+        assert trace.columns() == ()
+
+    def test_a_repeated_name_gets_arrays_of_its_own(self, trace):
+        G, alpha, G_again, D, alpha_again = trace.columns("G", "alpha", "G", "D", "alpha")
+        np.testing.assert_array_equal(G, [rec.g for rec in trace.records])
+        np.testing.assert_array_equal(D, [rec.d for rec in trace.records])
+        np.testing.assert_array_equal(G_again, G)
+        np.testing.assert_array_equal(alpha, [rec.alpha for rec in trace.records])
+        np.testing.assert_array_equal(alpha_again, alpha)
+        assert not np.shares_memory(G, G_again)
+        assert not np.shares_memory(alpha, alpha_again)
+        for column in (G, G_again):
+            column[0, 0] = 7.0  # fresh, writable arrays
+        for (g, g_again, beta, beta_again), rec in zip(
+                trace.steps("G", "G", "beta", "beta"), trace.records):
+            np.testing.assert_array_equal(g, rec.g)
+            np.testing.assert_array_equal(g_again, rec.g)
+            assert beta == beta_again or (rec.k == 0 and np.isnan(beta) and np.isnan(beta_again))

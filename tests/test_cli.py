@@ -222,6 +222,14 @@ class TestCompare:
         assert code == 4
 
 
+    def test_optimal_start_takes_no_iterations(self, capsys):
+        # b = -A x* with x* = 0 is zero, so g_0 = 0 at the default x_0 = 0
+        code = run_cli("compare", "--builtin", "diagonal", "--eigs", "2,1",
+                       "--known-solution", "0,0")
+        assert code == 0
+        assert capsys.readouterr().out == "no iterations taken; nothing to compare\n"
+
+
 class TestGenerate:
     def test_files_roundtrip(self, tmp_path):
         mtx = tmp_path / "problem.mtx"
@@ -344,3 +352,98 @@ def test_generate_refuses_a_matrix_source_before_reading_it(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "generate works with --builtin sources" in err
     assert not (tmp_path / "o.mtx").exists()
+
+
+class TestUnreadProblemOptions:
+    """A problem option the chosen source does not read is an error, not
+    dropped."""
+
+    @pytest.fixture
+    def mtx(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "2 2 2\n1 1 2.0\n2 2 1.0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("source, options, message", [
+        (("--builtin", "laplacian1d", "--n", "5"), ("--eigs", "1,2"),
+         "--eigs works with --builtin diagonal"),
+        (("--builtin", "random_spd", "--n", "5"), ("--eigs", "1,2"),
+         "--eigs works with --builtin diagonal"),
+        (("--builtin", "laplacian1d", "--n", "5"), ("--cond", "1e6"),
+         "--cond works with --builtin random_spd"),
+        (("--builtin", "hilbert", "--n", "5"), ("--dist", "linear"),
+         "--dist works with --builtin random_spd"),
+        (("--builtin", "diagonal", "--eigs", "2,1"), ("--clusters", "2"),
+         "--clusters works with --builtin random_spd"),
+        (("--builtin", "laplacian1d", "--n", "5"), ("--seed", "3"),
+         "--seed works with --builtin random_spd"),
+        (("--builtin", "random_spd", "--n", "5"), ("--clusters", "3"),
+         "--clusters works with --dist clustered"),
+        (("--builtin", "random_spd", "--n", "5", "--dist", "linear"), ("--clusters", "3"),
+         "--clusters works with --dist clustered"),
+        (("--builtin", "laplacian1d", "--n", "5"), ("--b-seed", "2"),
+         "--b-seed works with --b random"),
+        (("--builtin", "laplacian1d", "--n", "5", "--b", "ones"), ("--b-seed", "2"),
+         "--b-seed works with --b random"),
+        (("--builtin", "diagonal", "--eigs", "2,1"), ("--known-solution", "1,1",
+                                                      "--b-seed", "2"),
+         "--b-seed works with --b random"),
+        ("mtx", ("--n", "3"), "--n works with --builtin sources"),
+        ("mtx", ("--eigs", "2,1"), "--eigs works with --builtin diagonal"),
+        ("mtx", ("--cond", "5"), "--cond works with --builtin random_spd"),
+        ("mtx", ("--dist", "linear"), "--dist works with --builtin random_spd"),
+        ("mtx", ("--clusters", "2"), "--clusters works with --builtin random_spd"),
+        ("mtx", ("--seed", "1"), "--seed works with --builtin random_spd"),
+        ("mtx", ("--b-seed", "1"), "--b-seed works with --b random"),
+    ], ids=["laplacian1d-eigs", "random_spd-eigs", "laplacian1d-cond", "hilbert-dist",
+            "diagonal-clusters", "laplacian1d-seed", "clusters-default-dist",
+            "clusters-linear-dist", "b-seed-default-b", "b-seed-b-ones",
+            "b-seed-known-solution", "matrix-n", "matrix-eigs", "matrix-cond",
+            "matrix-dist", "matrix-clusters", "matrix-seed", "matrix-b-seed"])
+    def test_refused(self, mtx, capsys, source, options, message):
+        if source == "mtx":
+            source = ("--matrix", mtx)
+        code = run_cli("solve", *source, *options)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+
+    def test_options_the_source_reads_still_work(self, mtx):
+        assert run_cli("solve", "--matrix", mtx, "--b", "random", "--b-seed", "3") == 0
+        assert run_cli("solve", "--builtin", "random_spd", "--n", "10", "--dist",
+                       "clustered", "--clusters", "3", "--seed", "2") == 0
+        assert run_cli("solve", "--builtin", "diagonal", "--n", "2", "--eigs", "2,1") == 0
+
+    @pytest.mark.parametrize("source, defaults", [
+        (("--builtin", "random_spd", "--n", "20", "--b", "random"),
+         ("--dist", "loguniform", "--seed", "0", "--b-seed", "0")),
+        (("--builtin", "random_spd", "--n", "20", "--dist", "clustered"),
+         ("--clusters", "2")),
+        ("mtx", ("--b-seed", "0")),
+    ], ids=["random-spd", "clustered", "matrix"])
+    def test_defaults_given_write_the_same_bytes(self, tmp_path, mtx, source, defaults):
+        if source == "mtx":
+            source = ("--matrix", mtx, "--b", "random")
+        written = []
+        for extra in ((), defaults):
+            out = tmp_path / f"trace{len(written)}.json"
+            assert run_cli("solve", *source, *extra, "--output", str(out),
+                           "--no-timestamp") == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "compare", "generate"])
+@pytest.mark.parametrize("source, message", [
+    (("--builtin", "laplacian1d"), "--builtin laplacian1d requires --n"),
+    (("--builtin", "hilbert"), "--builtin hilbert requires --n"),
+    (("--builtin", "random_spd", "--cond", "10"), "--builtin random_spd requires --n"),
+    (("--builtin", "diagonal"), "--builtin diagonal requires --eigs"),
+], ids=["laplacian1d", "hilbert", "random_spd", "diagonal"])
+def test_builtin_without_its_size_is_an_error(tmp_path, capsys, command, source, message):
+    outputs = (("--out-matrix", str(tmp_path / "o.mtx"), "--out-b", str(tmp_path / "o.b"))
+               if command == "generate" else ())
+    code = run_cli(command, *source, *outputs)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

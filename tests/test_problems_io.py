@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgkit import (
+    CgKitError,
     MatrixMarketError,
     MatrixSPD,
     NotPositiveDefiniteError,
     ProblemSpecError,
+    QuadraticProblem,
     SolverConfig,
     SpectrumSpec,
     SymmetryError,
@@ -301,6 +304,29 @@ class TestVectorFiles:
             read_vector_file(io.StringIO("1.0\nxyz\n"))
         assert info.value.line == 2
 
+    def test_lines_of_a_stream_split_at_cr_keep_their_numbers(self):
+        # a stream that ends lines at CR alone leaves an LF inside a line
+        def stream(data):
+            return io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline="\r")
+
+        np.testing.assert_array_equal(read_vector_file(stream(b"1\r2\n\r3\r")), [1, 2, 3])
+        with pytest.raises(MatrixMarketError) as info:
+            read_vector_file(stream(b"1\r2\n3\r4\r"))
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("entry", ["1_000", "+1", "+.5", "\u0661"],
+                             ids=["underscore", "plus", "plus-fraction", "arabic-digit"])
+    def test_python_float_dialect_is_refused(self, entry):
+        # Python's float reads each of these; a MatrixMarket file may not hold them
+        float(entry)
+        with pytest.raises(MatrixMarketError, match="malformed number") as info:
+            read_vector_file(io.StringIO(f"% b\n1.0\n{entry}\n2.0\n"))
+        assert info.value.line == 3
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(io.StringIO(f"%%MatrixMarket matrix array real general\n"
+                                           f"1 1\n{entry}\n"))
+        assert info.value.line == 3
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
@@ -401,6 +427,32 @@ class TestTraceDocuments:
         assert docs[0].to_json() == docs[1].to_json()
         assert docs[0].to_tabular() == docs[1].to_tabular()
 
+    def test_breakdown_run_records_the_breakdown(self, tmp_path):
+        # d.Ad underflows the breakdown threshold at the first step
+        problem = QuadraticProblem(MatrixSPD.from_dense([[1e-305]]), [1.0])
+        config = SolverConfig()
+        _, trace = solve(problem, config=config)
+        doc = TraceDocument.from_solve(problem, config, trace, timestamp=False)
+        assert doc.final["termination_reason"] == "breakdown"
+        assert doc.final["breakdown"] == trace.breakdown
+        assert "iteration 0" in doc.final["breakdown"]
+        path = tmp_path / "trace.json"
+        write_trace(doc, path)
+        assert read_trace(path).final == doc.final
+
+    def test_converged_run_has_no_breakdown(self, solved):
+        problem, config, trace = solved
+        assert "breakdown" not in TraceDocument.from_solve(problem, config, trace).final
+
+    @pytest.mark.parametrize("document", [{"format": "cg-report", "version": 1},
+                                          {"version": 1}, {}],
+                             ids=["other-format", "no-format", "empty"])
+    def test_read_trace_refuses_another_format(self, tmp_path, document):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(CgKitError, match="not a cg-trace document"):
+            read_trace(path)
+
     def test_timestamp_suppression(self, solved):
         problem, config, trace = solved
         with_ts = TraceDocument.from_solve(problem, config, trace)
@@ -443,25 +495,35 @@ class TestTraceDocuments:
             write_trace(doc, io.StringIO(), fmt="yaml")
 
 
+# A number as a MatrixMarket file may write it: an optional '-', then
+# digits with at most one '.' and an optional exponent, or inf, infinity or
+# nan in any case.
+_MM_NUMBER = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                        r"|inf|infinity|nan)", re.IGNORECASE | re.ASCII)
+
+
 def _read_vector_lines(stream) -> np.ndarray:
-    """The vector-file reader as it was: one line of the stream at a time."""
+    """The vector-file reader as a line loop: each entry in the MatrixMarket
+    number syntax is read by ``float``, as the reader did before it checked
+    that syntax; the first entry outside it is refused at its line."""
     values = []
     for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text or text.startswith(("#", "%")):
             continue
-        try:
-            values.append(float(text))
-        except ValueError as err:
-            raise MatrixMarketError(f"bad vector entry: {err}", line=lineno) from None
+        if not _MM_NUMBER.fullmatch(text):
+            raise MatrixMarketError(f"not a MatrixMarket number: {text!r}", line=lineno)
+        values.append(float(text))
     return np.asarray(values, dtype=np.float64)
 
 
 def _outcome(read):
+    """The values read, or the line of the error: the two readers word
+    their errors differently."""
     try:
         return "values", [value.hex() for value in read().tolist()]
     except MatrixMarketError as err:
-        return "error", str(err), err.line
+        return "error", err.line
 
 
 _VECTOR_LINES = st.one_of(

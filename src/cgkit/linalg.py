@@ -101,7 +101,9 @@ class MatrixSPD:
         """Order-``n`` matrix from CSR arrays (duplicates summed, indices
         sorted), stored in fresh arrays.  Input equal to its transpose bit
         for bit only loses its explicit zeros; other input must pass the
-        symmetry tolerance and is then replaced by ``(A + A.T) / 2``."""
+        symmetry tolerance and is then replaced by ``(A + A.T) / 2``.
+        Either way entries (i, j) and (j, i) are stored with the same bits,
+        which the band scatter of :func:`_lower_band` relies on."""
         if n < 1:
             raise DimensionError("matrix order must be at least 1")
         data = np.asarray(data, dtype=np.float64)
@@ -116,7 +118,8 @@ class MatrixSPD:
         t = m.T.tocsr()
         if all(np.array_equal(u, v) for u, v in ((m.indptr, t.indptr),
                                                  (m.indices, t.indices), (m.data, t.data))):
-            m.eliminate_zeros()  # all that (m + m.T) / 2 changes in exactly symmetric input
+            if not m.data.all():  # zeros are all that (m + m.T) / 2 changes here
+                m.eliminate_zeros()
         else:
             _check_symmetry(np.abs(m - t).max(), np.abs(m.data).max())
             m = (m + t) / 2.0
@@ -231,33 +234,52 @@ def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
         return factor, None
 
     from scipy.linalg import cholesky_banded
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    a = m._a
-    diag = a.diagonal()
+    diag = m._a.diagonal()
     if not np.all(diag > 0.0):
         i = int(np.argmin(diag > 0.0))
         raise NotPositiveDefiniteError(f"diagonal entry {i} is {diag[i]:.3e} <= 0")
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(m.n, dtype=perm.dtype)
-    # entry (i, j) goes to (inv[i], inv[j]); the lower band keeps (r, c) at [r - c, c]
-    cols = inv[a.indices]
-    offset = np.repeat(inv, np.diff(a.indptr)) - cols
-    lower = offset >= 0
-    width = int(offset.max()) + 1
-    if width * m.n > BAND_BUDGET:
-        raise CgKitError(f"banded Cholesky needs {width} x {m.n} entries after RCM "
-                         f"ordering ({width * m.n / 2**27:.1f} GiB), above the 1 GiB budget")
-    band = np.zeros((width, m.n), order="F")  # LAPACK's layout: no copy
-    band[offset[lower], cols[lower]] = a.data[lower]
+    band, perm = _lower_band(m._a)
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
             f"banded Cholesky factorization failed: {err}") from err
-    _check_pivots(factor[0], diag[perm], width, perm)
+    _check_pivots(factor[0], diag[perm], factor.shape[0], perm)
     return factor, perm
+
+
+def _lower_band(a) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's lower band of the CSR matrix ``a`` in reverse Cuthill-McKee
+    order, a Fortran-ordered ``(width, n)`` array, and that order ``perm``.
+
+    Entry (i, j) goes to (r, c) = (inv[i], inv[j]), and the lower band keeps
+    (r, c) at [r - c, c] for r >= c, so flat index |r - c| + min(r, c) * width
+    of the band in Fortran order.  An entry above the diagonal lands on its
+    mirror's slot, which needs no mask: ``MatrixSPD.from_csr`` stores exactly
+    symmetric entries, bit for bit, so (i, j) and (j, i) write one value.
+    A band above ``BAND_BUDGET`` entries is refused before allocation; below
+    it every flat index is under 2**27, so int32 arithmetic cannot overflow."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = a.shape[0]
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n, dtype=perm.dtype)
+    cols = inv[a.indices]
+    rows = np.repeat(inv, np.diff(a.indptr))
+    flat = rows - cols
+    np.abs(flat, out=flat)
+    width = int(flat.max()) + 1
+    if width * n > BAND_BUDGET:
+        raise CgKitError(f"banded Cholesky needs {width} x {n} entries after RCM "
+                         f"ordering ({width * n / 2**27:.1f} GiB), above the 1 GiB budget")
+    np.minimum(rows, cols, out=rows)
+    rows *= width
+    flat += rows
+    band = np.zeros((width, n), order="F")  # LAPACK's layout: no copy
+    band.ravel(order="F")[flat] = a.data
+    return band, perm
 
 
 def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
@@ -281,10 +303,10 @@ def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
     is then dropped; a banded factor's RCM ordering is undone."""
     factor, perm = _cholesky(m)
     if perm is None:
-        x = cho_solve((factor, True), rhs)
+        x = cho_solve((factor, True), rhs, check_finite=False)
     else:
         x = np.empty_like(rhs)
-        x[perm] = cho_solve_banded((factor, True), rhs[perm])
+        x[perm] = cho_solve_banded((factor, True), rhs[perm], check_finite=False)
     return x
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import IO, Any, Iterable
 
 import numpy as np
-import scipy.sparse as _sparse
 
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
@@ -135,12 +134,14 @@ class BuiltinProblemSpec:
 
 
 def _laplacian1d(n: int) -> MatrixSPD:
-    if n == 1:
-        return MatrixSPD.from_csr([0, 1], [0], [2.0], 1)
-    main = np.full(n, 2.0)
-    off = np.full(n - 1, -1.0)
-    m = _sparse.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
-    return MatrixSPD.from_csr(m.indptr, m.indices, m.data, n)
+    """tridiag(-1, 2, -1) of order ``n`` from the CSR arrays that
+    ``scipy.sparse.diags`` builds: rows i - 1, i, i + 1 clipped to [0, n)."""
+    indptr = np.arange(-1, 3 * n, 3, dtype=np.int32)
+    indptr[0], indptr[-1] = 0, 3 * n - 2
+    indices = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
+               + np.arange(3, dtype=np.int32)).ravel()[1:-1]
+    data = np.tile([-1.0, 2.0, -1.0], n)[1:-1]
+    return MatrixSPD.from_csr(indptr, indices, data, n)
 
 
 def _hilbert(n: int) -> MatrixSPD:
@@ -152,8 +153,8 @@ def _hilbert(n: int) -> MatrixSPD:
 def _diagonal(values: Iterable[float]) -> MatrixSPD:
     vals = np.asarray(tuple(values), dtype=np.float64)
     n = vals.size
-    indptr = np.arange(n + 1, dtype=np.int64)
-    indices = np.arange(n, dtype=np.int64)
+    indptr = np.arange(n + 1, dtype=np.int32)
+    indices = np.arange(n, dtype=np.int32)
     return MatrixSPD.from_csr(indptr, indices, vals, n)
 
 
@@ -623,7 +624,8 @@ def _json_indented(obj) -> str:
     container whose members are all scalars (str, int, float, bool, None
     or subclasses of them) is written by one call of the C encoder, whose
     item separator carries the newline and the indent of its depth; other
-    containers are opened and closed here and their members written the
+    containers are opened and closed here, each run of consecutive scalar
+    members is written by one such call and each container member the
     same way.  A dict with a key other than a str, holding a container,
     goes to ``json.dumps`` with the whole document."""
     if c_make_encoder is None:
@@ -662,17 +664,26 @@ def _json_indented(obj) -> str:
             raise ValueError("Circular reference detected")
         path.add(id(value))
         parts.append(opening + inner)
-        if opening == "[":
-            for i, member in enumerate(value):
-                if i:
-                    parts.append("," + inner)
-                write(member, depth + 1)
-        else:
-            for i, (key, member) in enumerate(value.items()):
-                if not isinstance(key, str):
-                    raise _KeyNotStr
-                parts.append(("," + inner if i else "") + encode_basestring_ascii(key) + ": ")
-                write(member, depth + 1)
+        is_dict = opening == "{"
+        run: dict | list = {} if is_dict else []  # consecutive scalar members
+        sep = ""
+        for key, member in value.items() if is_dict else enumerate(value):
+            if is_dict and not isinstance(key, str):
+                raise _KeyNotStr
+            if isinstance(member, _SCALARS):
+                if is_dict:
+                    run[key] = member
+                else:
+                    run.append(member)
+                continue
+            if run:
+                parts.append(sep + encode(run, depth + 1)[1:-1])
+                sep, run = "," + inner, {} if is_dict else []
+            parts.append((sep + encode_basestring_ascii(key) + ": ") if is_dict else sep)
+            write(member, depth + 1)
+            sep = "," + inner
+        if run:
+            parts.append(sep + encode(run, depth + 1)[1:-1])
         parts.append(outer + closing)
         path.discard(id(value))
 

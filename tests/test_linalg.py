@@ -506,6 +506,103 @@ class TestCholeskyCertificate:
         np.testing.assert_allclose(solve_direct(m, m.matvec(x_true)), x_true, rtol=1e-9)
 
 
+def _masked_band(a) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``linalg._lower_band``: the band as a masked 2-D scatter
+    wrote it, keeping only the entries on or below the diagonal after
+    reverse Cuthill-McKee ordering."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(a.shape[0], dtype=perm.dtype)
+    cols = inv[a.indices]
+    offset = np.repeat(inv, np.diff(a.indptr)) - cols
+    lower = offset >= 0
+    band = np.zeros((int(offset.max()) + 1, a.shape[0]), order="F")
+    band[offset[lower], cols[lower]] = a.data[lower]
+    return band, perm
+
+
+BAND_INPUTS = ("exactly symmetric", "symmetrized", "diagonal", "order 1", "components")
+
+
+@st.composite
+def spd_csr_input(draw):
+    """CSR arrays of a diagonally dominant SPD matrix, as ``from_csr`` input.
+
+    * exactly symmetric: random off-diagonal pairs, a tenth of them explicit
+      zeros whose mirror has the other sign (equal, but not bit for bit);
+    * symmetrized: the upper entries one ulp away from the lower ones, so
+      ``from_csr`` stores ``(A + A.T) / 2``;
+    * diagonal, and order 1;
+    * components: pairs only inside 2-4 random groups of rows, so the
+      graph that the ordering walks has several components.
+    """
+    kind = draw(st.sampled_from(BAND_INPUTS))
+    n = 1 if kind == "order 1" else draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.integers(0, n, (2, 0 if kind in ("diagonal", "order 1") else 3 * n))
+    keep = rows > cols
+    if kind == "components":
+        group = rng.integers(0, draw(st.integers(2, 4)), n)
+        keep &= group[rows] == group[cols]
+    pairs = np.c_[rows[keep], cols[keep]]
+    if kind == "symmetrized":
+        pairs = np.r_[pairs, [[1, 0]]]  # at least one pair to symmetrize
+    pairs = np.unique(pairs, axis=0)
+    lower = rng.uniform(-1.0, 1.0, len(pairs))
+    lower[rng.random(len(pairs)) < 0.1] = 0.0
+    if kind == "symmetrized":
+        upper = np.nextafter(lower, np.inf)
+    else:
+        upper = np.where(lower == 0.0, -0.0, lower)
+    weight = np.zeros(n)
+    np.add.at(weight, pairs[:, 0], np.abs(lower))
+    np.add.at(weight, pairs[:, 1], np.abs(upper))
+    diag = weight + rng.uniform(0.5, 2.0, n)
+    r = np.r_[pairs[:, 0], pairs[:, 1], np.arange(n)]
+    c = np.r_[pairs[:, 1], pairs[:, 0], np.arange(n)]
+    a = sparse.coo_array((np.r_[lower, upper, diag], (r, c)), shape=(n, n)).tocsr()
+    return kind, a
+
+
+class TestBandAssembly:
+    """The one-pass band scatter against the masked scatter it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spd_csr_input(), seed=st.integers(0, 2**32 - 1))
+    def test_band_factor_and_minimizer_equal_the_masked_oracle(self, case, seed):
+        from cgkit.linalg import _cholesky, _lower_band
+
+        _, a = case
+        m = MatrixSPD.from_csr(a.indptr, a.indices, a.data, a.shape[0])
+        band, perm = _lower_band(m._a)
+        expected, expected_perm = _masked_band(m._a)
+        np.testing.assert_array_equal(perm, expected_perm)
+        assert band.flags.f_contiguous and band.shape == expected.shape
+        assert band.tobytes() == expected.tobytes()
+
+        factor, perm = _cholesky(m)
+        oracle = scipy.linalg.cholesky_banded(expected, lower=True)
+        assert factor.shape == oracle.shape and factor.tobytes() == oracle.tobytes()
+        b = np.random.default_rng(seed).standard_normal(m.n)
+        x = np.empty(m.n)
+        x[perm] = scipy.linalg.cho_solve_banded((oracle, True), -b[perm])
+        assert QuadraticProblem(m, b).direct_solution().tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_laplacian_arrays_equal_scipy_diags(self, n):
+        from cgkit.problems_io import _laplacian1d
+
+        off = -np.ones(n - 1)
+        expected = sparse.diags([off, np.full(n, 2.0), off], offsets=(-1, 0, 1),
+                                format="csr")
+        for got, want in zip(_laplacian1d(n).csr_arrays,
+                             (expected.indptr, expected.indices, expected.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMatmat:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     def test_matches_column_matvecs(self, storage):

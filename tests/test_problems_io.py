@@ -88,6 +88,24 @@ class TestBuiltinProblems:
         with pytest.raises(ProblemSpecError):
             BuiltinProblemSpec(family="toeplitz", n=4)
 
+    @pytest.mark.parametrize("source", [
+        "laplacian1d n=1", "laplacian1d n=1000", "diagonal n=1", "diagonal n=4000",
+        "coordinate symmetric", "coordinate general"])
+    def test_every_csr_source_stores_int32_indices(self, source):
+        family, _, n = source.partition(" n=")
+        if family in ("laplacian1d", "diagonal"):
+            n = int(n)
+            eigs = tuple(np.linspace(1.0, 10.0, n)) if family == "diagonal" else None
+            a = builtin_problem(BuiltinProblemSpec(family=family, n=n, eigenvalues=eigs)).A
+        else:
+            symmetry = source.split()[1]
+            upper = "" if symmetry == "symmetric" else "1 2 -1.0000000000001\n"
+            a = read_matrix_market(io.StringIO(
+                f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                f"2 2 {3 + bool(upper)}\n1 1 2\n2 1 -1\n{upper}2 2 2\n"))
+        indptr, indices, data = a.csr_arrays
+        assert (indptr.dtype, indices.dtype, data.dtype) == (np.int32, np.int32, np.float64)
+
     def test_hilbert_condition_grows_monotonically(self):
         # direct-eigensolve oracle across the supported orders
         conds = []

@@ -8,7 +8,9 @@ runs once under each tree's ``src`` (``python -m cgkit ... --output FILE
 --no-timestamp``) from a directory of its own, so that the two runs print
 the same text.  The output files, standard output, standard error and exit
 codes are compared byte for byte.  The worktree is removed afterwards.
-Exit status: 0 when every command agrees, 1 otherwise.
+Each directory first gets ``A.mtx`` (``grid_general_mtx``), the file that
+the ``--matrix`` commands read.  Exit status: 0 when every command agrees,
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +41,29 @@ COMMANDS = (
     ("verify-random-n500-vectors", ["verify", "--builtin", "random_spd", "--n", "500",
                                     "--cond", "100", "--b", "random",
                                     "--include-vectors"], "out.json"),
+    ("solve-matrix-general", ["solve", "--matrix", "A.mtx", "--b", "random",
+                              "--include-vectors"], "out.json"),
+    # its finite-termination residual reads the minimizer of the banded factor
+    ("verify-matrix-general", ["verify", "--matrix", "A.mtx", "--b", "random"], "out.json"),
 )
+
+
+def grid_general_mtx() -> str:
+    """A 'general' MatrixMarket file of 4.5 I minus the adjacency of a
+    3 x 4 grid, diagonally dominant and so SPD.  Each lower entry is
+    -1 and its mirror -1 - 1e-13, inside the symmetry tolerance, so the
+    reader stores (A + A.T) / 2; the grid's band after reverse Cuthill-McKee
+    ordering is wider than a path's."""
+    cols = 4
+    n = 3 * cols
+    lines = []
+    for i in range(n):
+        lines.append(f"{i + 1} {i + 1} 4.5")
+        for j in (i + 1, i + cols):
+            if j < n and (j == i + cols or j % cols):
+                lines += [f"{j + 1} {i + 1} -1", f"{i + 1} {j + 1} -1.0000000000001"]
+    return "\n".join(["%%MatrixMarket matrix coordinate real general",
+                      f"{n} {n} {len(lines)}", *lines, ""])
 
 
 def run(tree: Path, workdir: Path) -> dict[str, tuple]:
@@ -48,6 +72,7 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
     for name, args, output in COMMANDS:
         cwd = workdir / name
         cwd.mkdir(parents=True)
+        (cwd / "A.mtx").write_text(grid_general_mtx())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args, "--output", output, "--no-timestamp"],
             cwd=cwd, capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))

@@ -16,14 +16,14 @@ Four direction-coupling rules (FR, HS, PRP, DY) are implemented; with exact
 line search on a quadratic they agree.
 
 Every solve can record an :class:`IterationTrace`, which is what the
-``cgkit.verify`` checks consume.  It stores, per iteration, the cached
-product ``A d_k`` with the scalars ``alpha_k`` and ``beta_k``, and ``x_0``
-and ``g_0`` once.  Gradients, iterates and directions are fixed by those:
-the trace replays ``x_{k+1} = x_k + alpha_k d_k``, the solver's own
-gradient update (the recurrence ``g_k + alpha_k A d_k``, or ``A x_{k+1} + b``
-in explicit mode) and ``d_k = -g_k + beta_k d_{k-1}`` with the solver's own
-ufunc sequences, so they come back bit for bit, and only for callers that
-read them.
+``cgkit.verify`` checks consume.  It stores, per iteration, the scalars
+``alpha_k`` and ``beta_k``, and ``x_0`` and ``g_0`` once; for dense storage
+also the cached product ``A d_k``.  Gradients, iterates and directions are
+fixed by those: the trace replays ``x_{k+1} = x_k + alpha_k d_k``, the
+solver's own gradient update (the recurrence ``g_k + alpha_k A d_k``, or
+``A x_{k+1} + b`` in explicit mode), ``d_k = -g_k + beta_k d_{k-1}`` and,
+for CSR storage, ``A d_k`` with the solver's own operations, so they come
+back bit for bit, and only for callers that read them.
 """
 
 from __future__ import annotations
@@ -213,16 +213,18 @@ class IterationTrace:
     the numerical minimizer, where no step (and none of the per-iteration
     identities' hypotheses) applies.
 
-    A traced :func:`solve` stores ``x_0`` and ``g_0``, the rows ``A d_k``
-    and the scalars ``alpha_k``, ``beta_k``, and its ``records`` is a lazy
-    sequence over them: ``len()`` costs nothing, and the first item access
-    replays every ``g_k``, ``x_k`` and ``d_k`` once and keeps them.
-    :meth:`steps` hands out the named vectors and scalars one step at a
-    time, and :meth:`columns` stacked copies of them.  Both read
-    :meth:`_blocks`, which replays ``g_k`` and ``d_k`` in row blocks, and
-    ``x_k`` only when it is named or the gradient is explicit; then each
-    replayed ``g_k`` costs the matvec ``A x_k`` the solve paid.  A trace
-    built by hand from a tuple of records reads the records' own vectors.
+    A traced :func:`solve` stores ``x_0``, ``g_0`` and the scalars
+    ``alpha_k``, ``beta_k`` (for dense storage also the rows ``A d_k``), and
+    its ``records`` is a lazy sequence over them: ``len()`` costs nothing,
+    and the first item access replays every ``g_k``, ``x_k`` and ``d_k``
+    (and, for CSR storage, ``A d_k``) once and keeps them.  :meth:`steps`
+    hands out the named vectors and scalars one step at a time, and
+    :meth:`columns` stacked copies of them.  Both read :meth:`_blocks`,
+    which replays ``g_k`` and ``d_k`` in row blocks, ``x_k`` only when it is
+    named or the gradient is explicit, and for CSR storage ``A d_k`` unless
+    the gradient is explicit and AD is not named; each replayed product
+    costs the matvec the solve paid.  A trace built by hand from a tuple of
+    records reads the records' own vectors.
     """
 
     records: Sequence[IterationRecord]
@@ -249,10 +251,11 @@ class IterationTrace:
     def stored_bytes(self) -> int:
         """Bytes of the per-iteration vectors the trace holds.
 
-        For a traced solve that is ``x_0``, ``g_0`` and the K rows
-        ``A d_k``, (K + 2) n float64 values; rows the last block reserved
-        past K are never written and not counted, and replayed vectors are
-        not held.  A trace built by hand counts its records' vectors.
+        For a traced solve on dense storage that is ``x_0``, ``g_0`` and
+        the K rows ``A d_k``, (K + 2) n float64 values; rows the last block
+        reserved past K are never written and not counted.  On CSR storage
+        it is ``x_0`` and ``g_0``, 2 n values.  Replayed vectors are not
+        held.  A trace built by hand counts its records' vectors.
         """
         if isinstance(self.records, _TraceRecords):
             return self.records.stored_bytes
@@ -394,14 +397,23 @@ def _advance(problem: QuadraticProblem, update: GradientUpdate, alpha: float,
     """``(x_{k+1}, g_{k+1})`` from step ``k``, into ``x_out`` and ``g_out``
     (which may be ``x`` and ``g``): ``x_k + alpha_k d_k``, and the gradient
     by the recurrence ``g_k + alpha_k A d_k`` or as ``A x_{k+1} + b``.  With
-    ``g`` None under the recurrence (the trace replay, which adds up those
-    gradients a block at a time) the gradient is skipped and comes back
-    None.  The solver and the trace replay both advance here, so a
-    replayed step equals the solved one to the bit."""
-    x = _add_scaled(x, d, alpha, x_out, tmp)
+    ``x`` None under the recurrence (a trace replay that is not asked for
+    the iterates) the iterate is skipped and comes back None.  The solver
+    and the trace replay both advance here, so a replayed step equals the
+    solved one to the bit."""
+    if x is not None:
+        x = _add_scaled(x, d, alpha, x_out, tmp)
     if update == GradientUpdate.EXPLICIT:
         return x, problem._gradient(x, out=g_out)
-    return x, None if g is None else _add_scaled(g, Ad, alpha, g_out, tmp)
+    return x, _add_scaled(g, Ad, alpha, g_out, tmp)
+
+
+def _product(a: MatrixSPD, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A d`` into ``out``.  The solver and the trace replay of CSR storage
+    both multiply here, with SciPy's one kernel, so a recomputed ``A d_k``
+    equals the solved one to the bit."""
+    np.copyto(out, a._a @ d)
+    return out
 
 
 def stepsize_exact(g_k, d_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
@@ -454,8 +466,8 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
     ``||g_k|| <= tol`` or ``k >= cap`` the step is terminal: ``reason`` says
     which and the other three are None.  Otherwise ``d_k`` replaces
     ``d_{k-1}`` in ``d`` and ``A d_k`` goes into ``Ad = new_ad()``, a row
-    asked for only here, so that a traced solve stores no product for its
-    terminal iterate.  A vanishing denominator raises
+    asked for only here, so that a traced dense solve stores no product
+    for its terminal iterate.  A vanishing denominator raises
     :class:`BreakdownError` at iteration ``k``.
     """
     if prev is not None:
@@ -481,10 +493,9 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
             else:
                 beta_k = _beta(config.beta_rule, g, g_prev, d, gg, gg_prev, tmp)
         _direction(g, None if prev is None else d, beta_k, d, tmp)
-        # a traced solve's pages fault in far faster as one block than as
-        # a fresh array per product, so A d is copied into a block row
-        Ad = new_ad()
-        np.copyto(Ad, problem.A._a @ d)
+        # a traced dense solve's pages fault in far faster as one block
+        # than as a fresh array per product, so A d is copied into a row
+        Ad = _product(problem.A, d, new_ad())
         if config.stepsize_rule is StepsizeRule.EXACT_LINE_SEARCH:
             den = float(np.dot(d, Ad))
             alpha = (-float(np.dot(g, d)) / den if den > EPS_DENOMINATOR
@@ -508,7 +519,7 @@ def _start(problem: QuadraticProblem, x_0, x: np.ndarray, g: np.ndarray) -> None
 
 
 def _block_rows(n: int, count: int, blocks: list):
-    """At most ``count`` fresh rows of length ``n`` for a traced solve.
+    """At most ``count`` fresh rows of length ``n`` for a traced dense solve.
 
     The rows come from blocks of 8, 16, 32, ... rows, each allocated (and
     appended to ``blocks``) when the run reaches it: storage follows the
@@ -529,8 +540,9 @@ _BLOCK_BYTES = 1 << 18
 
 class _TraceRecords(Sequence):
     """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
-    the first K rows ``A d_k`` of their blocks, ``alpha_k``, ``beta_k`` and
-    the solver's ``g_k . g_k``.  :meth:`_replay` is the one replay; the
+    ``alpha_k``, ``beta_k``, the solver's ``g_k . g_k`` and, for dense
+    storage only, the first K rows ``A d_k`` of their blocks (``ad_blocks``
+    is empty for CSR storage).  :meth:`_replay` is the one replay; the
     first item access runs it once for every vector and keeps the records."""
 
     __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
@@ -565,74 +577,65 @@ class _TraceRecords(Sequence):
 
     @property
     def stored_bytes(self) -> int:
-        return (len(self) + 2) * self._x0.nbytes
+        rows = len(self) if self._problem.A.is_dense else 0
+        return (rows + 2) * self._x0.nbytes
 
     def _replay(self, names, into: dict):
         """:meth:`IterationTrace._blocks` of a traced solve, in row blocks.
 
-        Each block lies within one stored block of ``A d`` rows and holds
-        at most ``_BLOCK_BYTES`` of a vector.  ``"AD"`` is a view of the
-        stored rows; ``"X"``, ``"G"`` and ``"D"`` go into their rows of
-        ``into[name]`` if given, into fresh arrays otherwise.
+        Each block holds at most ``_BLOCK_BYTES`` of a vector and, for dense
+        storage, lies within one stored block of ``A d`` rows, whose view is
+        its ``"AD"``.  ``"X"``, ``"G"``, ``"D"`` and, for CSR storage,
+        ``"AD"`` go into their rows of ``into[name]`` if given, into fresh
+        arrays otherwise.
 
-        The recurrence ``g_{k+1} = g_k + alpha_k A d_k`` is elementwise, so
-        a block multiplies its rows by their ``alpha_k`` in one call and
-        then adds them up row after row (:func:`_add_rows`): every element
-        is rounded as the solver's :func:`_add_scaled` rounds it.  Then one
-        row loop replays ``d_k`` through :func:`_direction` and, when X is
-        named or the gradient is explicit, ``x_k`` (and ``A x_k + b``)
-        through :func:`_advance`, as the solver does.
+        One row loop replays each step as the solver took it: ``g_k`` (and
+        ``x_k`` when X is named or the gradient is explicit) through
+        :func:`_advance`, ``d_k`` through :func:`_direction` and, for CSR
+        storage, ``A d_k`` through :func:`_product`, unless the gradient is
+        explicit and AD is not named.
         """
         explicit = self._update == GradientUpdate.EXPLICIT
-        vector_names = ("X", "G", "D") if explicit or "X" in names else ("G", "D")
+        dense = self._problem.A.is_dense
+        vector_names = ["G", "D"] + ["X"] * (explicit or "X" in names)
+        if not dense and (not explicit or "AD" in names):
+            vector_names.append("AD")
         n, K = self._x0.size, len(self)
         limit = 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
-        alpha = np.array(self._alpha, dtype=np.float64)
         scalars = {"alpha": self._alpha, "gg": self._gg,
                    "beta": [math.nan if b is None else b for b in self._beta]}
         tmp = np.empty(n)
-        x = d = g = ad = None  # the last rows of the block before
+        # the last step's vectors, carried from block to block
+        x, g, d, ad = self._x0 if "X" in vector_names else None, self._g0, None, None
         k0 = 0
-        for stored in self._ad_blocks:
-            for start in range(0, len(stored), limit):
+        # CSR storage keeps no A d rows: its steps form one span
+        for stored in self._ad_blocks if dense else (None,):
+            span = K if stored is None else len(stored)
+            for start in range(0, span, limit):
                 if k0 == K:
                     return
-                AD = stored[start:start + min(limit, K - k0)]
-                k1 = k0 + len(AD)
+                k1 = k0 + min(limit, span - start, K - k0)
                 vectors = {name: into[name][k0:k1] if name in into else np.empty((k1 - k0, n))
                            for name in vector_names}
-                X, G, D = vectors.get("X"), vectors["G"], vectors["D"]
+                if stored is not None:
+                    vectors["AD"] = stored[start:start + k1 - k0]
+                X, G, D, AD = (vectors.get(name) for name in ("X", "G", "D", "AD"))
                 if k0 == 0:
-                    G[0] = self._g0
+                    G[0] = g
                     if X is not None:
-                        X[0] = x = self._x0
-                elif not explicit:
-                    _add_scaled(g, ad, alpha[k0 - 1], G[0], tmp)
-                if not explicit:
-                    _add_rows(G, AD, alpha[k0:k1 - 1])
+                        X[0] = x
                 for i, k in enumerate(range(k0, k1)):
-                    if k and X is not None:
-                        x, _ = _advance(self._problem, self._update, alpha[k - 1], d, None,
-                                        x, None, X[i], G[i], tmp)
+                    if k:
+                        x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
+                                        ad, x, g, None if X is None else X[i], G[i], tmp)
                     d = _direction(G[i], d, self._beta[k], D[i], tmp)
-                g, ad = G[-1], AD[-1]
-                vectors["AD"] = AD
+                    if AD is not None:
+                        ad = AD[i] if dense else _product(self._problem.A, d, AD[i])
                 for block in vectors.values():
                     block.setflags(write=False)
                 yield tuple(scalars[name][k0:k1] if name in scalars else vectors[name]
                             for name in names)
                 k0 = k1
-
-
-def _add_rows(out, terms, scales) -> None:
-    """``out[i] = out[i - 1] + scales[i - 1] * terms[i - 1]`` for every row
-    after the first, rounded as :func:`_add_scaled` rounds one step: the
-    products come from one call, the sums row after row."""
-    if len(out) > 1:
-        rest = out[1:]
-        np.multiply(terms[:-1], scales[:, np.newaxis], out=rest)
-        for row, later in zip(out, rest):
-            np.add(row, later, out=later)
 
 
 _SCALARS = ("alpha", "beta", "gg")
@@ -709,10 +712,13 @@ def solve(problem: QuadraticProblem, x_0=None,
     the reason lands in ``trace.termination_reason`` (a breakdown is never
     a silent wrong answer).  The iterate and the direction are updated in
     place, and the gradient alternates between two rows.  With
-    ``config.record_trace`` each step writes ``A d_k`` into a row of blocks
-    allocated as the run proceeds, and the trace keeps those with ``x_0``,
-    ``g_0``, ``alpha_k`` and ``beta_k``; its records replay ``g_k``, ``x_k``
-    and ``d_k`` from them when read.  Without it, ``A d`` reuses one row.
+    ``config.record_trace`` the trace keeps ``x_0``, ``g_0``, ``alpha_k``,
+    ``beta_k`` and ``g_k . g_k``, and its records replay ``g_k``, ``x_k``
+    and ``d_k`` from them when read.  For dense storage each step then
+    writes ``A d_k`` into a row of blocks allocated as the run proceeds,
+    which the trace keeps too; a product costs n^2 reads there, a stored
+    row n.  For CSR storage, and for every untraced solve, ``A d`` reuses
+    one row, and the replay recomputes ``A d_k`` with the same kernel.
     """
     config = config or SolverConfig()
     n = problem.n
@@ -720,7 +726,8 @@ def solve(problem: QuadraticProblem, x_0=None,
     x, d, tmp = np.empty(n), np.empty(n), np.empty(n)
     g_rows = itertools.cycle(np.empty((2, n)))
     ad_blocks: list[np.ndarray] = []
-    new_ad = (_block_rows(n, cap, ad_blocks).__next__ if config.record_trace
+    new_ad = (_block_rows(n, cap, ad_blocks).__next__
+              if config.record_trace and problem.A.is_dense
               else itertools.repeat(np.empty(n)).__next__)
     g = next(g_rows)
     _start(problem, x_0, x, g)

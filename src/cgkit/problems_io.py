@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import IO, Any, Iterable
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
@@ -134,14 +135,19 @@ class BuiltinProblemSpec:
 
 
 def _laplacian1d(n: int) -> MatrixSPD:
-    """tridiag(-1, 2, -1) of order ``n`` from the CSR arrays that
-    ``scipy.sparse.diags`` builds: rows i - 1, i, i + 1 clipped to [0, n)."""
+    """tridiag(-1, 2, -1) of order ``n`` over the CSR arrays that
+    ``scipy.sparse.diags`` builds: rows i - 1, i, i + 1 clipped to [0, n).
+    They are fresh, canonical, exactly symmetric and hold no zero, so the
+    operand is frozen over them as they are: :meth:`MatrixSPD.from_csr`
+    would store the same arrays after a copy and a transpose check."""
     indptr = np.arange(-1, 3 * n, 3, dtype=np.int32)
     indptr[0], indptr[-1] = 0, 3 * n - 2
     indices = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
                + np.arange(3, dtype=np.int32)).ravel()[1:-1]
     data = np.tile([-1.0, 2.0, -1.0], n)[1:-1]
-    return MatrixSPD.from_csr(indptr, indices, data, n)
+    for arr in (indptr, indices, data):
+        arr.setflags(write=False)
+    return MatrixSPD._new("csr", csr_array((data, indices, indptr), shape=(n, n)))
 
 
 def _hilbert(n: int) -> MatrixSPD:

@@ -436,7 +436,8 @@ def check_classical_identities(trace: IterationTrace, a,
     * gradient/direction:     g_i . d_j = 0            (by ||g_i|| ||d_j||)
     * gradient orthogonality: g_i . g_j = 0            (by ||g_i|| ||g_j||)
 
-    Uses the cached ``A d_k`` products; no extra matrix products are needed.
+    Uses the ``A d_k`` products of the trace: a dense trace stores them, and
+    a CSR trace's replay recomputes them, one sparse product per iteration.
     """
     stacked = _stack(trace, "classical-identity check")
     tol, relaxed, cond, notes = _tolerance_schedule(stacked, a, tolerance)

@@ -395,8 +395,9 @@ class TestSingleCore:
 
 
 class TestTraceMemory:
-    """A traced solve stores one vector per step, A d_k; g_k, x_k and d_k
-    are replayed only for callers that read them."""
+    """A traced CSR solve stores no vector per step, a dense one A d_k;
+    g_k, x_k, d_k and the CSR products are replayed only for callers that
+    read them."""
 
     n, cap = 50_000, 100
 
@@ -404,24 +405,31 @@ class TestTraceMemory:
     def laplacian(self):
         return builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=self.n))
 
-    def test_traced_solve_stores_one_vector_per_step(self, laplacian):
+    def test_traced_csr_solve_stores_no_vector_per_step(self, laplacian):
         (_, trace), peak = _peak(
             lambda: solve(laplacian, config=SolverConfig(max_iterations=self.cap)))
-        K = trace.terminated_at
-        assert K == self.cap
-        # 2 K vectors when g was stored too, 4 (K + 1) with x and d
-        assert peak <= (K + 16) * 8 * self.n
+        assert trace.terminated_at == self.cap
+        # the work vectors, x_0 and g_0; storing A d_k took K more
+        assert peak < 16 * 8 * self.n
 
     def test_stored_bytes_counts_the_held_vectors(self, laplacian):
         _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
-        # the A d_k rows, x_0 and g_0
-        assert trace.stored_bytes == (self.cap + 2) * 8 * self.n
+        # x_0 and g_0: a CSR trace recomputes A d_k
+        assert trace.stored_bytes == 2 * 8 * self.n
         by_hand = replace(trace, records=tuple(trace.records))
         # a hand-built trace holds x, g, d and A d for every record
         assert by_hand.stored_bytes == 4 * self.cap * 8 * self.n
         _, untraced = solve(laplacian, config=SolverConfig(max_iterations=self.cap,
                                                            record_trace=False))
         assert untraced.stored_bytes == 0
+
+    def test_stored_bytes_of_a_dense_trace_count_its_products(self):
+        problem = make_spd_problem(np.linspace(1.0, 1e4, 200), seed=5)
+        K = 50
+        _, trace = solve(problem, config=SolverConfig(max_iterations=K))
+        assert trace.terminated_at == K
+        # the A d_k rows, x_0 and g_0
+        assert trace.stored_bytes == (K + 2) * 8 * problem.n
 
     def test_document_replays_one_step_at_a_time(self, laplacian):
         config = SolverConfig(max_iterations=self.cap)
@@ -664,6 +672,16 @@ class TestBlockReplay:
     def test_steps_columns_and_records_equal_the_step_chain(self, problem, update,
                                                              beta_rule, K):
         self._check(problem, SolverConfig(beta_rule=beta_rule, gradient_update=update), K)
+
+    # a CSR trace stores no A d rows, so its replay blocks are cut from one
+    # span of K steps: at n = 300 they end after 64, 128, 192, 256, ... steps
+    @pytest.mark.parametrize("K", [1, 8, 9, 56, 64, 65, 121, 128, 260],
+                             ids=lambda K: f"K{K}")
+    @pytest.mark.parametrize("beta_rule", list(BetaRule), ids=lambda r: r.value)
+    @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
+    def test_csr_replay_equals_the_step_chain(self, problem, update, beta_rule, K):
+        self._check(_in_storage(problem, "csr"),
+                    SolverConfig(beta_rule=beta_rule, gradient_update=update), K)
 
     @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
     def test_one_row_blocks_equal_the_step_chain(self, update):

@@ -602,6 +602,19 @@ class TestBandAssembly:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 100_000])
+    def test_laplacian_operand_equals_from_csr(self, n):
+        # the builtin skips from_csr's copy and checks; it must store what
+        # from_csr would store, frozen
+        from cgkit.problems_io import _laplacian1d
+
+        lap = _laplacian1d(n)
+        assert (lap.n, lap.storage) == (n, "csr")
+        for got, want in zip(lap.csr_arrays, MatrixSPD.from_csr(*lap.csr_arrays, n).csr_arrays):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
 
 class TestMatmat:
     @pytest.mark.parametrize("storage", ["dense", "csr"])

@@ -45,6 +45,10 @@ COMMANDS = (
                               "--include-vectors"], "out.json"),
     # its finite-termination residual reads the minimizer of the banded factor
     ("verify-matrix-general", ["verify", "--matrix", "A.mtx", "--b", "random"], "out.json"),
+    # above n = 10000, where OpenBLAS splits ddot over its threads; its
+    # document replays K recomputed CSR products
+    ("verify-laplacian-n20000", ["verify", "--builtin", "laplacian1d", "--n", "20000",
+                                 "--b", "random", "--max-iters", "60"], "out.json"),
 )
 
 

@@ -213,18 +213,19 @@ class IterationTrace:
     the numerical minimizer, where no step (and none of the per-iteration
     identities' hypotheses) applies.
 
-    A traced :func:`solve` stores ``x_0``, ``g_0`` and the scalars
-    ``alpha_k``, ``beta_k`` (for dense storage also the rows ``A d_k``), and
-    its ``records`` is a lazy sequence over them: ``len()`` costs nothing,
-    and the first item access replays every ``g_k``, ``x_k`` and ``d_k``
-    (and, for CSR storage, ``A d_k``) once and keeps them.  :meth:`steps`
-    hands out the named vectors and scalars one step at a time, and
-    :meth:`columns` stacked copies of them.  Both read :meth:`_blocks`,
-    which replays ``g_k`` and ``d_k`` in row blocks, ``x_k`` only when it is
-    named or the gradient is explicit, and for CSR storage ``A d_k`` unless
-    the gradient is explicit and AD is not named; each replayed product
-    costs the matvec the solve paid.  A trace built by hand from a tuple of
-    records reads the records' own vectors.
+    A traced :func:`solve` that takes a step stores ``x_0``, ``g_0`` and
+    the scalars ``alpha_k``, ``beta_k`` (for dense storage also the rows
+    ``A d_k``), and its ``records`` is a view over them that keeps nothing
+    it replays: ``len()`` costs nothing, ``records[k]`` replays the steps
+    through the block that holds step k, and iterating replays each step
+    once.  A traced solve that takes no step has ``records == ()``.
+    :meth:`steps` hands out the named vectors and scalars one step at a
+    time, and :meth:`columns` stacked copies of them.  Both read
+    :meth:`_blocks`, which replays ``g_k`` and ``d_k`` in row blocks,
+    ``x_k`` only when it is named or the gradient is explicit, and for CSR
+    storage ``A d_k`` unless the gradient is explicit and AD is not named;
+    each replayed product costs the matvec the solve paid.  A trace built
+    by hand from a tuple of records reads the records' own vectors.
     """
 
     records: Sequence[IterationRecord]
@@ -254,7 +255,8 @@ class IterationTrace:
         For a traced solve on dense storage that is ``x_0``, ``g_0`` and
         the K rows ``A d_k``, (K + 2) n float64 values; rows the last block
         reserved past K are never written and not counted.  On CSR storage
-        it is ``x_0`` and ``g_0``, 2 n values.  Replayed vectors are not
+        it is ``x_0`` and ``g_0``, 2 n values.  A traced solve that takes no
+        step keeps no records and holds 0 bytes.  Replayed vectors are not
         held.  A trace built by hand counts its records' vectors.
         """
         if isinstance(self.records, _TraceRecords):
@@ -518,35 +520,54 @@ def _start(problem: QuadraticProblem, x_0, x: np.ndarray, g: np.ndarray) -> None
     problem._gradient(x, out=g)
 
 
+# Largest trace block: the rows of one vector it holds stay within 256 kB.
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_len(n: int) -> int:
+    """Rows per trace block for vectors of length ``n``: the largest power
+    of two of rows that stays within ``_BLOCK_BYTES``, and at least one.  A
+    traced dense solve stores its ``A d`` rows in blocks of this many rows
+    and the replay cuts its blocks on the same grid, so stored block j is
+    replay block j."""
+    return 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
+
+
 def _block_rows(n: int, count: int, blocks: list):
     """At most ``count`` fresh rows of length ``n`` for a traced dense solve.
 
-    The rows come from blocks of 8, 16, 32, ... rows, each allocated (and
-    appended to ``blocks``) when the run reaches it: storage follows the
-    steps taken, not the cap, and no block is ever copied into a larger one.
+    The rows come from blocks of :func:`_block_len` rows (the last one cut
+    to what is left of ``count``), each allocated (and appended to
+    ``blocks``) when the run reaches it: storage follows the steps taken,
+    not the cap, and no block is ever copied into a larger one.
     """
-    size = 8
+    size = _block_len(n)
     while count > 0:
         block = np.empty((min(size, count), n))
         blocks.append(block)
         count -= len(block)
-        size *= 2
         yield from block
 
 
-# Largest replay block: the rows of one vector it holds stay within 256 kB.
-_BLOCK_BYTES = 1 << 18
+_RECORD_NAMES = ("X", "G", "D", "AD", "alpha")
 
 
 class _TraceRecords(Sequence):
-    """The records of a traced solve, over what it stored: ``x_0``, ``g_0``,
-    ``alpha_k``, ``beta_k``, the solver's ``g_k . g_k`` and, for dense
-    storage only, the first K rows ``A d_k`` of their blocks (``ad_blocks``
-    is empty for CSR storage).  :meth:`_replay` is the one replay; the
-    first item access runs it once for every vector and keeps the records."""
+    """The records of a traced solve that took at least one step, over what
+    it stored: ``x_0``, ``g_0``, ``alpha_k``, ``beta_k``, the solver's
+    ``g_k . g_k`` and, for dense storage only, the first K rows ``A d_k`` of
+    its blocks (``ad_blocks`` is empty for CSR storage).
+
+    The records are a view of :meth:`_replay`, the one replay, and keep
+    nothing of it: iterating runs it once and hands out each record with
+    copies of its step's rows, and ``records[k]`` runs it to the block that
+    holds step k and copies that row.  ``reversed()`` and ``.index()`` are
+    :class:`~collections.abc.Sequence`'s per-index mixins, so each costs
+    O(K^2) steps.  Equality is identity: copied records hold distinct
+    arrays, whose comparison has no single truth value."""
 
     __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
-                 "_beta", "_gg", "_items")
+                 "_beta", "_gg")
 
     def __init__(self, problem, update, x0, g0, ad_blocks, alphas, betas, ggs):
         for array in (x0, g0, *ad_blocks):
@@ -557,23 +578,27 @@ class _TraceRecords(Sequence):
         self._alpha = alphas
         self._beta = betas  # None at k = 0
         self._gg = ggs
-        self._items = None
 
     def __len__(self) -> int:
         return len(self._alpha)
 
     def __getitem__(self, index):
-        if self._items is None:
-            self._items = tuple(
-                IterationRecord(k=k, x=x, g=g, d=d, alpha=alpha, beta=self._beta[k], Ad=Ad)
-                for k, (x, g, d, Ad, alpha) in enumerate(
-                    _rows(self._replay(("X", "G", "D", "AD", "alpha"), {}))))
-        return self._items[index]
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        k = range(len(self))[index]  # a tuple's negative indices and IndexError
+        return self._record(k, next(itertools.islice(
+            _rows(self._replay(_RECORD_NAMES, {})), k, None)))
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and (not self or tuple(self) == tuple(other))
+    def __iter__(self) -> Iterator[IterationRecord]:
+        return itertools.starmap(self._record,
+                                 enumerate(_rows(self._replay(_RECORD_NAMES, {}))))
+
+    def _record(self, k: int, row: tuple) -> IterationRecord:
+        """Record ``k`` from its row of :data:`_RECORD_NAMES`, with copies of
+        the row's vectors, so that keeping it keeps no replay block."""
+        x, g, d, Ad, alpha = row
+        return IterationRecord(k=k, x=x.copy(), g=g.copy(), d=d.copy(), alpha=alpha,
+                               beta=self._beta[k], Ad=Ad.copy())
 
     @property
     def stored_bytes(self) -> int:
@@ -581,13 +606,14 @@ class _TraceRecords(Sequence):
         return (rows + 2) * self._x0.nbytes
 
     def _replay(self, names, into: dict):
-        """:meth:`IterationTrace._blocks` of a traced solve, in row blocks.
+        """:meth:`IterationTrace._blocks` of a traced solve, in blocks of
+        :func:`_block_len` rows.
 
-        Each block holds at most ``_BLOCK_BYTES`` of a vector and, for dense
-        storage, lies within one stored block of ``A d`` rows, whose view is
-        its ``"AD"``.  ``"X"``, ``"G"``, ``"D"`` and, for CSR storage,
-        ``"AD"`` go into their rows of ``into[name]`` if given, into fresh
-        arrays otherwise.
+        Each block holds at most ``_BLOCK_BYTES`` of a vector.  For dense
+        storage block j is the solve's stored block j of ``A d`` rows, whose
+        view is its ``"AD"``.  ``"X"``, ``"G"``, ``"D"`` and, for CSR
+        storage, ``"AD"`` go into their rows of ``into[name]`` if given,
+        into fresh arrays otherwise.
 
         One row loop replays each step as the solver took it: ``g_k`` (and
         ``x_k`` when X is named or the gradient is explicit) through
@@ -601,41 +627,34 @@ class _TraceRecords(Sequence):
         if not dense and (not explicit or "AD" in names):
             vector_names.append("AD")
         n, K = self._x0.size, len(self)
-        limit = 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
+        size = _block_len(n)
         scalars = {"alpha": self._alpha, "gg": self._gg,
                    "beta": [math.nan if b is None else b for b in self._beta]}
         tmp = np.empty(n)
         # the last step's vectors, carried from block to block
         x, g, d, ad = self._x0 if "X" in vector_names else None, self._g0, None, None
-        k0 = 0
-        # CSR storage keeps no A d rows: its steps form one span
-        for stored in self._ad_blocks if dense else (None,):
-            span = K if stored is None else len(stored)
-            for start in range(0, span, limit):
-                if k0 == K:
-                    return
-                k1 = k0 + min(limit, span - start, K - k0)
-                vectors = {name: into[name][k0:k1] if name in into else np.empty((k1 - k0, n))
-                           for name in vector_names}
-                if stored is not None:
-                    vectors["AD"] = stored[start:start + k1 - k0]
-                X, G, D, AD = (vectors.get(name) for name in ("X", "G", "D", "AD"))
-                if k0 == 0:
-                    G[0] = g
-                    if X is not None:
-                        X[0] = x
-                for i, k in enumerate(range(k0, k1)):
-                    if k:
-                        x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
-                                        ad, x, g, None if X is None else X[i], G[i], tmp)
-                    d = _direction(G[i], d, self._beta[k], D[i], tmp)
-                    if AD is not None:
-                        ad = AD[i] if dense else _product(self._problem.A, d, AD[i])
-                for block in vectors.values():
-                    block.setflags(write=False)
-                yield tuple(scalars[name][k0:k1] if name in scalars else vectors[name]
-                            for name in names)
-                k0 = k1
+        for k0 in range(0, K, size):
+            k1 = min(k0 + size, K)
+            vectors = {name: into[name][k0:k1] if name in into else np.empty((k1 - k0, n))
+                       for name in vector_names}
+            if dense:
+                vectors["AD"] = self._ad_blocks[k0 // size][:k1 - k0]
+            X, G, D, AD = (vectors.get(name) for name in ("X", "G", "D", "AD"))
+            if k0 == 0:
+                G[0] = g
+                if X is not None:
+                    X[0] = x
+            for i, k in enumerate(range(k0, k1)):
+                if k:
+                    x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
+                                    ad, x, g, None if X is None else X[i], G[i], tmp)
+                d = _direction(G[i], d, self._beta[k], D[i], tmp)
+                if AD is not None:
+                    ad = AD[i] if dense else _product(self._problem.A, d, AD[i])
+            for block in vectors.values():
+                block.setflags(write=False)
+            yield tuple(scalars[name][k0:k1] if name in scalars else vectors[name]
+                        for name in names)
 
 
 _SCALARS = ("alpha", "beta", "gg")
@@ -714,11 +733,13 @@ def solve(problem: QuadraticProblem, x_0=None,
     place, and the gradient alternates between two rows.  With
     ``config.record_trace`` the trace keeps ``x_0``, ``g_0``, ``alpha_k``,
     ``beta_k`` and ``g_k . g_k``, and its records replay ``g_k``, ``x_k``
-    and ``d_k`` from them when read.  For dense storage each step then
-    writes ``A d_k`` into a row of blocks allocated as the run proceeds,
-    which the trace keeps too; a product costs n^2 reads there, a stored
-    row n.  For CSR storage, and for every untraced solve, ``A d`` reuses
-    one row, and the replay recomputes ``A d_k`` with the same kernel.
+    and ``d_k`` from them when read; a run that takes no step keeps no
+    records.  For dense storage each step then writes ``A d_k`` into a row
+    of blocks of :func:`_block_len` rows, allocated as the run proceeds and
+    cut on the replay's block grid, which the trace keeps too; a product
+    costs n^2 reads there, a stored row n.  For CSR storage, and for every
+    untraced solve, ``A d`` reuses one row, and the replay recomputes
+    ``A d_k`` with the same kernel.
     """
     config = config or SolverConfig()
     n = problem.n
@@ -756,7 +777,7 @@ def solve(problem: QuadraticProblem, x_0=None,
         breakdown_note = str(err)
 
     records = ()
-    if config.record_trace:
+    if config.record_trace and alphas:
         records = _TraceRecords(problem, config.gradient_update, *start, ad_blocks,
                                 alphas, betas, ggs)
     # final_g is a copy, so that keeping it does not keep the ring alive

@@ -723,12 +723,26 @@ def write_trace(doc: TraceDocument, target, *, fmt: str = "structured") -> None:
 
 
 def read_trace(source) -> TraceDocument:
-    """Parse a structured trace document written by :func:`write_trace`."""
+    """Parse a structured trace document written by :func:`write_trace`.
+
+    Input that is not JSON, not a JSON object, of another format or without
+    the metadata, iterations and final sections raises
+    :class:`~cgkit.errors.CgKitError`.
+    """
     with _open_text(source, "r") as stream:
-        doc = json.load(stream)
+        try:
+            doc = json.load(stream)
+        except json.JSONDecodeError as err:
+            raise CgKitError(f"not a {TRACE_FORMAT} document: invalid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise CgKitError(f"not a {TRACE_FORMAT} document: the top level is a "
+                         f"{type(doc).__name__}, not an object")
     if doc.get("format") != TRACE_FORMAT:
         raise CgKitError(
             f"not a {TRACE_FORMAT} document (format={doc.get('format')!r})")
+    missing = [key for key in ("metadata", "iterations", "final") if key not in doc]
+    if missing:
+        raise CgKitError(f"{TRACE_FORMAT} document lacks {', '.join(missing)}")
     return TraceDocument(metadata=doc["metadata"], iterations=doc["iterations"],
                          final=doc["final"], vectors=doc.get("vectors"),
                          verification=doc.get("verification"))

@@ -130,6 +130,6 @@ def beta_agreement(recs, tol):
 
 def loop_families(trace, a, tol, stepsize_tol):
     """Every identity family of ``run_all_checks`` at tolerance ``tol``."""
-    recs = trace.records
+    recs = tuple(trace.records)  # indexed in O(K^2) loops; each index is a replay
     return {**classical(recs, tol), **gradient_conjugacy(recs, a, tol),
             **stepsize_equivalence(recs, stepsize_tol), **beta_agreement(recs, tol)}

@@ -389,8 +389,8 @@ class TestSingleCore:
         (_, trace), peak = _peak(lambda: solve(problem))
         assert trace.terminated_at == 4
         assert trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE
-        # the first block of 8 A d rows and a few work vectors (16 in all),
-        # where storage sized by the cap would take n vectors
+        # x_0, g_0 and a few work vectors (16 in all): a CSR trace stores
+        # no A d row, where storage sized by the cap would take n vectors
         assert peak < 18 * n * 8
 
 
@@ -448,6 +448,24 @@ class TestTraceMemory:
         assert peak < 1024  # a replay would take 3 K vectors of 400 kB
         equal, peak = _peak(lambda: trace.records == ())
         assert not equal and peak < 1024
+        # records equal themselves by identity; comparing their copies
+        # would replay every step
+        equal, peak = _peak(lambda: trace.records == trace.records)
+        assert equal and peak < 1024
+
+    def test_reading_records_holds_one_block(self, laplacian):
+        _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
+        rec, peak = _peak(lambda: trace.records[-1])
+        assert rec.k == self.cap - 1
+        # one replay block (a row per vector at this n), the work vectors
+        # and the record's copies; keeping every record took 4 K vectors
+        assert peak < 16 * 8 * self.n
+
+        def read_all():
+            for rec in trace.records:
+                pass
+        _, peak = _peak(read_all)
+        assert peak < 16 * 8 * self.n
 
     def test_verification_adds_no_more_than_stacking_did(self, laplacian):
         _, trace = solve(laplacian, config=SolverConfig(max_iterations=self.cap))
@@ -622,9 +640,13 @@ class TestBlockReplay:
     """The trace replays x_k, g_k and d_k in row blocks; steps, columns and
     records all equal the step chain, which computes every step afresh."""
 
-    # at n = 300 a replay block holds 64 rows; the solver's A d blocks hold
-    # 8, 16, 32, 64, 128, ... rows, so blocks end after 8, 24, 56, 120,
-    # 184, 248, 312, ... steps
+    # at n = 300 a block holds 64 rows, for the replay and for a dense
+    # solve's stored A d rows alike, so blocks end after 64, 128, 192,
+    # 256, ... steps; the step counts below end inside, on and just past
+    # those edges
+    step_counts = pytest.mark.parametrize("K", [1, 8, 9, 56, 64, 65, 121, 128, 260],
+                                          ids=lambda K: f"K{K}")
+
     @pytest.fixture(scope="class")
     def problem(self):
         return builtin_problem(BuiltinProblemSpec(
@@ -647,36 +669,41 @@ class TestBlockReplay:
         assert trace.termination_reason == TerminationReason.ITERATION_CAP
         chain = TestBlockReplay._chain(problem, config, K)
         names = ("X", "G", "D", "AD", "alpha", "beta")
-        expected = [(rec.x, rec.g, rec.d, rec.Ad, rec.alpha,
-                     np.nan if rec.beta is None else rec.beta) for rec in chain]
+        # one column of K values per name, each compared whole
+        expected = [np.array(column) for column in zip(*(
+            (rec.x, rec.g, rec.d, rec.Ad, rec.alpha, np.nan if rec.beta is None else rec.beta)
+            for rec in chain))]
         steps = list(trace.steps(*names))
         assert len(steps) == K
-        for got, want in zip(steps, expected):
-            for value, reference in zip(got, want):
-                np.testing.assert_array_equal(value, reference)
-        for column, index in zip(trace.columns(*names), range(len(names))):
-            np.testing.assert_array_equal(column, [row[index] for row in expected])
-        for rec, want in zip(trace.records, chain):
-            assert (rec.k, rec.alpha, rec.beta) == (want.k, want.alpha, want.beta)
+        for got, want in zip(zip(*steps), expected):
+            np.testing.assert_array_equal(got, want)
+        for column, want in zip(trace.columns(*names), expected):
+            np.testing.assert_array_equal(column, want)
+        indices = (0, K - 1, -1)
+        for records, wants in ((list(trace.records), chain),
+                               ([trace.records[k] for k in indices],
+                                [chain[k] for k in indices])):
+            assert ([(rec.k, rec.alpha, rec.beta) for rec in records]
+                    == [(want.k, want.alpha, want.beta) for want in wants])
             for name in ("x", "g", "d", "Ad"):
-                np.testing.assert_array_equal(getattr(rec, name), getattr(want, name))
+                np.testing.assert_array_equal([getattr(rec, name) for rec in records],
+                                              [getattr(want, name) for want in wants])
+        with pytest.raises(IndexError):
+            trace.records[K]
         # each name asked for alone replays the same rows
-        for index, name in enumerate(names[:3]):
-            np.testing.assert_array_equal(trace.columns(name)[0],
-                                          [row[index] for row in expected])
+        for name, want in zip(names[:3], expected):
+            np.testing.assert_array_equal(trace.columns(name)[0], want)
 
-    @pytest.mark.parametrize("K", [1, 8, 9, 56, 121, 260],
-                             ids=lambda K: f"K{K}")
+    @step_counts
     @pytest.mark.parametrize("beta_rule", list(BetaRule), ids=lambda r: r.value)
     @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
     def test_steps_columns_and_records_equal_the_step_chain(self, problem, update,
                                                              beta_rule, K):
         self._check(problem, SolverConfig(beta_rule=beta_rule, gradient_update=update), K)
 
-    # a CSR trace stores no A d rows, so its replay blocks are cut from one
-    # span of K steps: at n = 300 they end after 64, 128, 192, 256, ... steps
-    @pytest.mark.parametrize("K", [1, 8, 9, 56, 64, 65, 121, 128, 260],
-                             ids=lambda K: f"K{K}")
+    # the same blocks over a CSR trace, which stores no A d rows and
+    # recomputes each product
+    @step_counts
     @pytest.mark.parametrize("beta_rule", list(BetaRule), ids=lambda r: r.value)
     @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
     def test_csr_replay_equals_the_step_chain(self, problem, update, beta_rule, K):
@@ -694,16 +721,13 @@ class TestBlockReplay:
         _, trace = solve(problem, config=SolverConfig(max_iterations=200))
         rows = [row for row, in trace.steps("G")]
         assert all(not row.flags.writeable for row in rows)
-        # rows 0..7 and 8..23 are replayed as two blocks, as stored
-        assert rows[0].base is rows[7].base
-        assert rows[8].base is rows[23].base
-        assert rows[7].base is not rows[8].base
-        assert rows[0].base.shape == (8, problem.n)
-        # the stored block of rows 120..247 is replayed in blocks of at
-        # most 256 kB: 64 rows at n = 300
-        assert rows[120].base is rows[183].base
-        assert rows[183].base is not rows[184].base
-        assert rows[120].base.shape == (64, problem.n)
+        # a block holds at most 256 kB of a vector: 64 rows at n = 300
+        assert rows[0].base is rows[63].base
+        assert rows[63].base is not rows[64].base
+        assert rows[0].base.shape == (64, problem.n)
+        # the last block holds what is left of the 200 steps
+        assert rows[192].base is rows[199].base
+        assert rows[199].base.shape == (8, problem.n)
 
     @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
     def test_document_rows_equal_the_records(self, problem, update):

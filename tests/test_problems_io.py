@@ -471,6 +471,19 @@ class TestTraceDocuments:
         with pytest.raises(CgKitError, match="not a cg-trace document"):
             read_trace(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "top level is a list"),
+        ('{"format": "cg-trace"}', "lacks metadata, iterations, final"),
+        ("not json", "invalid JSON"),
+        ("", "invalid JSON"),
+    ], ids=["list", "no-sections", "not-json", "empty"])
+    def test_read_trace_refuses_malformed_input_with_a_typed_error(self, tmp_path, text,
+                                                                   message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CgKitError, match=message):
+            read_trace(path)
+
     def test_timestamp_suppression(self, solved):
         problem, config, trace = solved
         with_ts = TraceDocument.from_solve(problem, config, trace)

@@ -48,7 +48,7 @@ def _rows(u, v):
 def rounding_bounds(trace, a_dense):
     """Per-instance bound on |vectorized - loop| normalized residual, in the
     loop reference's instance order."""
-    recs = trace.records
+    recs = tuple(trace.records)  # one replay, read four times
     G = np.array([r.g for r in recs])
     D = np.array([r.d for r in recs])
     AD = np.array([r.Ad for r in recs])

@@ -49,6 +49,11 @@ COMMANDS = (
     # document replays K recomputed CSR products
     ("verify-laplacian-n20000", ["verify", "--builtin", "laplacian1d", "--n", "20000",
                                  "--b", "random", "--max-iters", "60"], "out.json"),
+    # a dense trace whose K = 128 steps end on a block edge: at n = 300 a
+    # block holds 64 rows
+    ("verify-random-n300-edge", ["verify", "--builtin", "random_spd", "--n", "300",
+                                 "--cond", "1e4", "--b", "random", "--max-iters", "128",
+                                 "--include-vectors"], "out.json"),
 )
 
 

@@ -96,7 +96,8 @@ class TerminationReason(str, enum.Enum):
 class QuadraticProblem:
     """SPD quadratic ``f(x) = 0.5 x.T A x + b.T x``.
 
-    Construction validates dimensions and factors ``A`` once: the Cholesky
+    Construction validates dimensions, keeps a read-only copy of ``b`` (the
+    caller's array stays writeable) and factors ``A`` once: the Cholesky
     factor of :func:`~cgkit.linalg.spd_validate` certifies ``A`` and gives
     the unique minimizer, the solution of ``A x = -b``, which is kept
     read-only (``n`` floats) while the factor is dropped.
@@ -108,7 +109,7 @@ class QuadraticProblem:
         if not isinstance(A, MatrixSPD):
             A = MatrixSPD.from_dense(A)
         self.A = A
-        self.b = as_vector(b, A.n, name="b")
+        self.b = np.array(as_vector(b, A.n, name="b"))
         self.b.setflags(write=False)
         self._x_star = _certified_solve(A, -self.b)
         self._x_star.setflags(write=False)

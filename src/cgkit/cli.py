@@ -83,6 +83,19 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                      help="iteration cap (default: problem dimension)")
 
 
+def _add_output_arguments(parser: argparse.ArgumentParser, what: str) -> None:
+    """The document options of ``solve`` (``what="trace"``, which also takes
+    ``--format``) and ``verify`` (``what="report"``)."""
+    parser.add_argument("--output", metavar="PATH", help=f"{what} file to write")
+    if what == "trace":
+        parser.add_argument("--format", choices=("structured", "tabular"),
+                            default="structured", help="trace file format")
+    parser.add_argument("--include-vectors", action="store_true",
+                        help=f"embed per-iteration vectors in the {what}")
+    parser.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp for byte-reproducible output")
+
+
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -167,18 +180,22 @@ def _solve_exit_code(reason: TerminationReason) -> int:
     return EXIT_BREAKDOWN
 
 
+def _write_document(args, problem, config, trace, description, report=None) -> None:
+    doc = TraceDocument.from_solve(problem, config, trace,
+                                   problem_description=description, report=report,
+                                   include_vectors=args.include_vectors,
+                                   timestamp=not args.no_timestamp)
+    write_trace(doc, args.output, fmt=getattr(args, "format", "structured"))
+    print(f"{'trace' if report is None else 'report'} written to {args.output}")
+
+
 def _cmd_solve(args) -> int:
     problem, description = _build_problem(args)
     # the printed summary needs no trace: only a trace file records one
     config = replace(_solver_config(args), record_trace=bool(args.output))
     x, trace = solve(problem, config=config)
     if args.output:
-        doc = TraceDocument.from_solve(problem, config, trace,
-                                       problem_description=description,
-                                       include_vectors=args.include_vectors,
-                                       timestamp=not args.no_timestamp)
-        write_trace(doc, args.output, fmt=args.format)
-        print(f"trace written to {args.output}")
+        _write_document(args, problem, config, trace, description)
     print(f"iterations: {trace.terminated_at}")
     print(f"termination: {trace.termination_reason.value}")
     print(f"final ||g||: {trace.final_grad_norm():.6e}")
@@ -194,13 +211,7 @@ def _cmd_verify(args) -> int:
     x, trace = solve(problem, config=config)
     report = run_all_checks(trace, problem, tolerance=args.check_tol)
     if args.output:
-        doc = TraceDocument.from_solve(problem, config, trace,
-                                       problem_description=description,
-                                       report=report,
-                                       include_vectors=args.include_vectors,
-                                       timestamp=not args.no_timestamp)
-        write_trace(doc, args.output, fmt="structured")
-        print(f"report written to {args.output}")
+        _write_document(args, problem, config, trace, description, report)
     print(f"iterations: {trace.terminated_at} "
           f"({trace.termination_reason.value})")
     print(report.summary())
@@ -245,13 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the solver and write a trace")
     _add_problem_arguments(p_solve)
     _add_solver_arguments(p_solve)
-    p_solve.add_argument("--output", metavar="PATH", help="trace file to write")
-    p_solve.add_argument("--format", choices=("structured", "tabular"),
-                         default="structured", help="trace file format")
-    p_solve.add_argument("--include-vectors", action="store_true",
-                         help="embed per-iteration vectors in the trace")
-    p_solve.add_argument("--no-timestamp", action="store_true",
-                         help="omit the timestamp for byte-reproducible output")
+    _add_output_arguments(p_solve, "trace")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify",
@@ -261,11 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--check-tol", type=float, default=None,
                           help="normalized identity tolerance "
                                "(default: 1e-8, relaxed above condition 1e4)")
-    p_verify.add_argument("--output", metavar="PATH", help="report file to write")
-    p_verify.add_argument("--include-vectors", action="store_true",
-                          help="embed per-iteration vectors in the report")
-    p_verify.add_argument("--no-timestamp", action="store_true",
-                          help="omit the timestamp for byte-reproducible output")
+    _add_output_arguments(p_verify, "report")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_compare = sub.add_parser(

@@ -432,7 +432,10 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
 
     Default format follows storage: coordinate-symmetric (lower triangle)
     for CSR, array-general for dense.  Values use 17 significant digits so
-    they round-trip exactly.
+    they round-trip exactly.  The array format is written column by column,
+    each column being the stored row of that index (both storages are
+    exactly symmetric), so CSR storage is never densified: memory stays
+    O(n) beyond the matrix.
     """
     if fmt is None:
         fmt = "coordinate" if a.storage == "csr" else "array"
@@ -446,12 +449,18 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
             for i, j, v in zip(ii.tolist(), jj.tolist(), values.tolist()):
                 stream.write(f"{i + 1} {j + 1} {_FMT % v}\n")
         else:
-            dense = a.to_dense()
             stream.write("%%MatrixMarket matrix array real general\n")
             stream.write(f"{a.n} {a.n}\n")
-            for j in range(a.n):
-                for i in range(a.n):
-                    stream.write(f"{_FMT % dense[i, j]}\n")
+            if a.is_dense:
+                for row in a._a:
+                    _write_column(stream, row)
+            else:  # each row scattered into one vector of zeros
+                indptr, indices, data = a.csr_arrays
+                row = np.zeros(a.n)
+                for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+                    row[indices[lo:hi]] = data[lo:hi]
+                    _write_column(stream, row)
+                    row[indices[lo:hi]] = 0.0
 
 
 def _lower_triangle(a: MatrixSPD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,12 +480,17 @@ def _lower_triangle(a: MatrixSPD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[keep], cols[keep], values[keep]
 
 
+def _write_column(stream, values: np.ndarray) -> None:
+    """Write the 1-D array ``values`` one number per line, 17 significant
+    digits, as one string."""
+    stream.write("".join(map(f"{_FMT}\n".__mod__, values.tolist())))
+
+
 def write_vector_file(v, target) -> None:
-    """One decimal per line, 17 significant digits (exact round-trip)."""
-    v = as_vector(v, name="vector")
+    """One decimal per line, 17 significant digits (exact round-trip),
+    written as one string."""
     with _open_text(target, "w") as stream:
-        for value in v:
-            stream.write(f"{_FMT % value}\n")
+        _write_column(stream, as_vector(v, name="vector"))
 
 
 def read_vector_file(source) -> np.ndarray:

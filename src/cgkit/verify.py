@@ -53,7 +53,7 @@ from .cg import (
     stepsize_exact,
     stepsize_orthogonal,
 )
-from .errors import BreakdownError, IncompleteTraceError
+from .errors import BreakdownError, IncompleteTraceError, ProblemSpecError
 from .linalg import DENSIFY_CAP, MatrixSPD
 
 __all__ = [
@@ -315,10 +315,30 @@ class _Stacked(NamedTuple):
     beta: np.ndarray
 
 
-def _stack(trace: IterationTrace, what: str) -> _Stacked:
+def _check_tolerance(value: float | None, name: str) -> None:
+    if value is not None and not value >= 0.0:
+        raise ProblemSpecError(f"{name} must be nonnegative, got {value!r}")
+
+
+def _identity_report(trace: IterationTrace, a, tolerance: float | None, families,
+                     what: str, tail: tuple[CheckResult, ...] = ()) -> VerificationReport:
+    """The one path of every identity check.
+
+    Refuses a negative or NaN ``tolerance``, then a trace with no recorded
+    iteration; stacks the trace's columns once, resolves the tolerance by
+    ``_tolerance_schedule`` and reports ``families(stacked, tol)`` followed
+    by the ``tail`` checks, which need no recorded step.  With a ``tail``
+    an empty trace is not refused: the identity checks are skipped with a
+    note and the tail is reported alone.
+    """
+    _check_tolerance(tolerance, "check tolerance")
     if not trace.records:
-        raise IncompleteTraceError(f"{what} needs at least one recorded iteration")
-    return _Stacked(*trace.columns("G", "D", "AD", "alpha", "beta"))
+        if not tail:
+            raise IncompleteTraceError(f"{what} needs at least one recorded iteration")
+        return _report(tail, notes=("no iterations recorded; identity checks skipped",))
+    stacked = _Stacked(*trace.columns("G", "D", "AD", "alpha", "beta"))
+    tol, relaxed, cond, notes = _tolerance_schedule(stacked, a, tolerance)
+    return _report((*families(stacked, tol), *tail), relaxed, cond, notes)
 
 
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -377,7 +397,7 @@ def _gradient_conjugacy(s: _Stacked, a, tol: float) -> tuple[CheckResult, ...]:
     )
 
 
-def _stepsize_equivalence(s: _Stacked, tol: float) -> CheckResult:
+def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     dAd = _rowdot(s.D, s.AD)
     gAd = _rowdot(s.G, s.AD)
     broken = (dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
@@ -394,11 +414,11 @@ def _stepsize_equivalence(s: _Stacked, tol: float) -> CheckResult:
             stepsize_orthogonal(s.G[k], s.AD[k])
         except BreakdownError as err:
             notes.append(f"iteration {k}: {err}")
-    return _result("stepsize_equivalence", tol, raw, normalized,
-                   np.arange(len(s.G))[:, None], note="; ".join(notes))
+    return (_result("stepsize_equivalence", tol, raw, normalized,
+                    np.arange(len(s.G))[:, None], note="; ".join(notes)),)
 
 
-def _beta_agreement(s: _Stacked, tol: float) -> CheckResult:
+def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     K = len(s.G)
     note = "single recorded iteration: no coupling step to compare" if K == 1 else ""
     g, g_prev, d_prev = s.G[1:], s.G[:-1], s.D[:-1]
@@ -421,8 +441,8 @@ def _beta_agreement(s: _Stacked, tol: float) -> CheckResult:
                 notes.append(f"iteration {k}: {err}")
     if notes:
         note = (note + "; " if note else "") + "; ".join(notes)
-    return _result("beta_agreement", tol, raw, normalized,
-                   np.arange(1, K)[:, None], note=note)
+    return (_result("beta_agreement", tol, raw, normalized,
+                    np.arange(1, K)[:, None], note=note),)
 
 
 def check_classical_identities(trace: IterationTrace, a,
@@ -439,9 +459,7 @@ def check_classical_identities(trace: IterationTrace, a,
     Uses the ``A d_k`` products of the trace: a dense trace stores them, and
     a CSR trace's replay recomputes them, one sparse product per iteration.
     """
-    stacked = _stack(trace, "classical-identity check")
-    tol, relaxed, cond, notes = _tolerance_schedule(stacked, a, tolerance)
-    return _report(_classical(stacked, tol), relaxed, cond, notes)
+    return _identity_report(trace, a, tolerance, _classical, "classical-identity check")
 
 
 def check_gradient_conjugacy(trace: IterationTrace, a,
@@ -453,9 +471,9 @@ def check_gradient_conjugacy(trace: IterationTrace, a,
     are normalized by the A-norm product of the participating gradients.
     The products ``A g_k`` of all recorded gradients are one block product.
     """
-    stacked = _stack(trace, "gradient-conjugacy check")
-    tol, relaxed, cond, notes = _tolerance_schedule(stacked, a, tolerance)
-    return _report(_gradient_conjugacy(stacked, a, tol), relaxed, cond, notes)
+    return _identity_report(trace, a, tolerance,
+                            lambda s, tol: _gradient_conjugacy(s, a, tol),
+                            "gradient-conjugacy check")
 
 
 def check_stepsize_equivalence(trace: IterationTrace,
@@ -466,8 +484,8 @@ def check_stepsize_equivalence(trace: IterationTrace,
     iteration.  A formula breaking down on its recorded vectors is reported
     as an infinite residual for that iteration rather than raising.
     """
-    stacked = _stack(trace, "stepsize-equivalence check")
-    return _report((_stepsize_equivalence(stacked, tolerance),))
+    return _identity_report(trace, None, tolerance, _stepsize_equivalence,
+                            "stepsize-equivalence check")
 
 
 def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
@@ -480,8 +498,10 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
     The problem made that solve at construction with the factor of its SPD
     certificate (:meth:`~cgkit.cg.QuadraticProblem.direct_solution`), so
     the check factors nothing.  Both instances are indexed by the final
-    iteration.
+    iteration.  A negative or NaN ``tolerance_x`` raises
+    :class:`~cgkit.errors.ProblemSpecError`.
     """
+    _check_tolerance(tolerance_x, "solution tolerance")
     n = problem.n
     within = (trace.terminated_at <= n
               and trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE)
@@ -511,9 +531,8 @@ def check_beta_agreement(trace: IterationTrace,
     all four vanish).  A formula with a vanishing denominator is reported
     for its iteration as an infinite residual.
     """
-    stacked = _stack(trace, "beta-agreement check")
-    tol = tolerance if tolerance is not None else DEFAULT_CHECK_TOLERANCE
-    return _report((_beta_agreement(stacked, tol),))
+    strict = DEFAULT_CHECK_TOLERANCE if tolerance is None else tolerance
+    return _identity_report(trace, None, strict, _beta_agreement, "beta-agreement check")
 
 
 def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
@@ -525,17 +544,13 @@ def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
     for all identity checks.  Identity checks need recorded iterations; when
     the trace has none (the start point was already optimal, or recording
     was off) they are skipped with a note and only the termination check
-    runs.
+    runs.  A negative or NaN tolerance raises
+    :class:`~cgkit.errors.ProblemSpecError`, with or without iterations.
     """
-    checks: tuple[CheckResult, ...] = ()
-    relaxed, cond = False, None
-    notes = ("no iterations recorded; identity checks skipped",)
-    if trace.records:
-        stacked = _stack(trace, "verification")
-        tol, relaxed, cond, notes = _tolerance_schedule(stacked, problem.A, tolerance)
-        checks = (*_classical(stacked, tol),
-                  *_gradient_conjugacy(stacked, problem.A, tol),
-                  _stepsize_equivalence(stacked, STEPSIZE_TOLERANCE),
-                  _beta_agreement(stacked, tol))
-    checks += check_finite_termination(trace, problem, tolerance_x=tolerance_x).checks
-    return _report(checks, relaxed, cond, notes)
+    def families(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
+        return (*_classical(s, tol), *_gradient_conjugacy(s, problem.A, tol),
+                *_stepsize_equivalence(s, STEPSIZE_TOLERANCE), *_beta_agreement(s, tol))
+
+    termination = check_finite_termination(trace, problem, tolerance_x=tolerance_x).checks
+    return _identity_report(trace, problem.A, tolerance, families, "verification",
+                            tail=termination)

@@ -581,6 +581,13 @@ class TestQuadraticProblem:
         np.testing.assert_allclose(worked_problem.direct_solution(),
                                    [1.0, 1.0], rtol=1e-14)
 
+    def test_keeps_a_copy_of_b(self):
+        b = np.array([-2.0, -1.0])
+        problem = QuadraticProblem(MatrixSPD.from_dense(np.diag([2.0, 1.0])), b)
+        assert b.flags.writeable and not problem.b.flags.writeable
+        b[0] = 7.0
+        assert problem.b.tolist() == [-2.0, -1.0]
+
     @staticmethod
     def _problem(storage):
         if storage == "dense":

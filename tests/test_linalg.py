@@ -292,6 +292,15 @@ class TestGenerateSpd:
         assert vals[-1] <= 100.0 + 1e-8
         assert vals[-1] / vals[0] == pytest.approx(100.0, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [200, 500])
+    @pytest.mark.parametrize("dist", ["loguniform", "linear"])
+    def test_each_eigenvalue_planted_to_working_precision(self, n, dist):
+        # one Householder QR gives a Q orthogonal to working precision
+        spec = SpectrumSpec(lam_min=1.0, lam_max=1e4, distribution=dist)
+        lams = spec.materialize(n, np.random.default_rng(n))
+        vals = np.linalg.eigvalsh(generate_spd(n, spec, seed=n).to_dense())
+        assert np.abs(vals - lams).max() <= 64 * np.finfo(np.float64).eps * lams[-1]
+
     def test_trace_matches_eigenvalue_sum(self):
         spec = SpectrumSpec(lam_min=0.5, lam_max=9.0, distribution="linear")
         m = generate_spd(30, spec, seed=3)

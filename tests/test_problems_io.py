@@ -2,10 +2,12 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,6 +307,56 @@ class TestMatrixMarketFromCsr:
         assert lines[1] == f"{n} {n} {2 * n - 1}"
         assert lines[2:5] == ["1 1 2", "2 1 -1", "2 2 2"]
         assert lines[-1] == f"{n} {n} 2"
+
+
+def _in_storage(a: MatrixSPD, storage: str) -> MatrixSPD:
+    if a.storage == storage:
+        return a
+    if storage == "dense":
+        return MatrixSPD.from_dense(a.to_dense())
+    m = sparse.csr_matrix(a.to_dense())
+    return MatrixSPD.from_csr(m.indptr, m.indices, m.data, a.n)
+
+
+class TestMatrixMarketArray:
+    """The array writer streams each column from the stored row of its
+    index, never densified, with the bytes of an entry-by-entry loop."""
+
+    @staticmethod
+    def _entry_by_entry(a: MatrixSPD) -> str:
+        dense = a.to_dense()
+        lines = ["%%MatrixMarket matrix array real general", f"{a.n} {a.n}"]
+        lines += ["%.17g" % dense[i, j] for j in range(a.n) for i in range(a.n)]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("spec", [
+        BuiltinProblemSpec(family="laplacian1d", n=300),
+        BuiltinProblemSpec(family="random_spd", n=120,
+                           spectrum=SpectrumSpec(lam_min=1.0, lam_max=100.0)),
+        BuiltinProblemSpec(family="hilbert", n=7),
+    ], ids=["laplacian1d", "random_spd", "hilbert"])
+    def test_bytes_match_the_entry_loop(self, spec, storage):
+        a = _in_storage(builtin_problem(spec).A, storage)
+        buf = io.StringIO()
+        write_matrix_market(a, buf, fmt="array")
+        assert buf.getvalue() == self._entry_by_entry(a)
+
+    def test_csr_is_written_in_memory_linear_in_n(self, tmp_path):
+        n = 400  # a dense copy alone is 400 * 8n bytes
+        a = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=n)).A
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_matrix_market(a, tmp_path / "a.mtx", fmt="array")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 8 * n
+        assert read_matrix_market(tmp_path / "a.mtx").to_dense().tolist() == \
+            a.to_dense().tolist()
+
 
 class TestVectorFiles:
     def test_roundtrip(self, tmp_path):

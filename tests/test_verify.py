@@ -11,6 +11,7 @@ from cgkit import (
     IncompleteTraceError,
     IterationTrace,
     MatrixSPD,
+    ProblemSpecError,
     QuadraticProblem,
     SolverConfig,
     SpectrumSpec,
@@ -25,8 +26,9 @@ from cgkit import (
     run_all_checks,
     solve,
 )
+from cgkit.cli import main
 from cgkit.problems_io import BuiltinProblemSpec, builtin_problem
-from cgkit.verify import CONDITION_RELAX_THRESHOLD, _ritz_extremes, _stack
+from cgkit.verify import CONDITION_RELAX_THRESHOLD, _ritz_extremes
 from conftest import make_spd_problem
 
 EPS = np.finfo(np.float64).eps
@@ -212,6 +214,33 @@ class TestToleranceSchedule:
         assert report.checks[0].tolerance == 1e-3
         assert not report.tolerance_relaxed
 
+    @pytest.mark.parametrize("call", [
+        ["verify", "--check-tol", "-1"],
+        ["compare", "--tolerance", "nan"],
+        "run_all_checks(tolerance=nan)",
+        "check_finite_termination(tolerance_x=-1)",
+        "zero-step run_all_checks(tolerance=-1)",
+    ], ids=lambda call: " ".join(call) if isinstance(call, list) else call)
+    def test_negative_or_nan_tolerance_is_refused(self, call, worked_problem,
+                                                  worked_trace, capsys):
+        if isinstance(call, list):  # the CLI reports the library's error
+            assert main([call[0], "--builtin", "diagonal", "--eigs", "2,1",
+                         *call[1:]]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            return
+        _, no_steps = solve(worked_problem, x_0=[1.0, 1.0])
+        run = {
+            "run_all_checks(tolerance=nan)":
+                lambda: run_all_checks(worked_trace, worked_problem, tolerance=math.nan),
+            "check_finite_termination(tolerance_x=-1)":
+                lambda: check_finite_termination(worked_trace, worked_problem,
+                                                 tolerance_x=-1.0),
+            "zero-step run_all_checks(tolerance=-1)":
+                lambda: run_all_checks(no_steps, worked_problem, tolerance=-1.0),
+        }[call]
+        with pytest.raises(ProblemSpecError, match="must be nonnegative"):
+            run()
+
 
 def eight_value_diagonal(n=4000):
     """Diagonal problem above the densify cap with 8 distinct eigenvalues in [1, 10]."""
@@ -240,8 +269,7 @@ class TestRitzEstimate:
         _, trace = solve(problem)
         if not trace.records:
             return
-        stacked = _stack(trace, "test")
-        lo, hi = _ritz_extremes(stacked.alpha, stacked.beta)
+        lo, hi = _ritz_extremes(*trace.columns("alpha", "beta"))
         lam = np.linalg.eigvalsh(a.to_dense())
         # T_K's entries are ratios of recorded length-n dot products; their
         # rounding, amplified by up to the condition, moves a Ritz value by

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .cg import QuadraticProblem, SolverConfig, TerminationReason, solve
-from .errors import CgKitError
+from .errors import CgKitError, IncompleteTraceError
 from .linalg import SpectrumSpec
 from .problems_io import (
     BUILTIN_FAMILIES,
@@ -222,10 +222,11 @@ def _cmd_compare(args) -> int:
     problem, _ = _build_problem(args)
     config = _solver_config(args)
     _, trace = solve(problem, config=config)
-    if not trace.records:
+    try:  # the tolerance is checked first, with or without iterations
+        report = check_stepsize_equivalence(trace, tolerance=args.tolerance)
+    except IncompleteTraceError:
         print("no iterations taken; nothing to compare")
         return EXIT_OK
-    report = check_stepsize_equivalence(trace, tolerance=args.tolerance)
     result = report.checks[0]
     print(f"iterations: {trace.terminated_at}")
     print(f"max relative stepsize discrepancy: {result.worst:.6e} "

@@ -217,6 +217,7 @@ class TestToleranceSchedule:
     @pytest.mark.parametrize("call", [
         ["verify", "--check-tol", "-1"],
         ["compare", "--tolerance", "nan"],
+        ["compare", "--known-solution", "0,0", "--tolerance", "nan"],  # no steps
         "run_all_checks(tolerance=nan)",
         "check_finite_termination(tolerance_x=-1)",
         "zero-step run_all_checks(tolerance=-1)",

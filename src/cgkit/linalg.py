@@ -5,8 +5,9 @@ both triangles stored).  Symmetry is enforced at construction; positive
 definiteness is certified separately by :func:`spd_validate`, so the type
 can hold a symmetric candidate that validation then rejects.  The direct-solve
 oracle shares its Cholesky routine, which factors CSR storage as a band after
-reverse Cuthill-McKee ordering (George & Liu, 1981); a problem's certificate
-and its minimizer come from one factor.
+reverse Cuthill-McKee (RCM) ordering (George & Liu, 1981), unless the
+matrix's own order already has the narrowest possible band; a problem's
+certificate and its minimizer come from one factor.
 """
 
 from __future__ import annotations
@@ -217,8 +218,10 @@ def spd_validate(a) -> None:
 def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
     """Lower Cholesky factor of ``m`` and the order ``perm`` it factors in:
     NumPy's full factor for dense storage (``perm`` None); for CSR storage,
-    LAPACK's banded factor of ``m`` in reverse Cuthill-McKee order (row i is
-    row ``perm[i]`` of ``m``), after an O(nnz) check of the diagonal.
+    after an O(nnz) check of the diagonal, LAPACK's banded factor of ``m``
+    in RCM ordering (row i is row ``perm[i]`` of ``m``), unless the
+    matrix's own order already has the narrowest possible band (``perm``
+    None; see :func:`_lower_band`).
 
     A pivot ``L_ii**2`` at most ``k * eps * a_ii`` is refused as singular
     to working precision, with ``k`` the number of terms in its sum: the
@@ -245,35 +248,54 @@ def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
             f"banded Cholesky factorization failed: {err}") from err
-    _check_pivots(factor[0], diag[perm], factor.shape[0], perm)
+    _check_pivots(factor[0], diag if perm is None else diag[perm], factor.shape[0], perm)
     return factor, perm
 
 
-def _lower_band(a) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's lower band of the CSR matrix ``a`` in reverse Cuthill-McKee
-    order, a Fortran-ordered ``(width, n)`` array, and that order ``perm``.
+def _lower_band(a) -> tuple[np.ndarray, np.ndarray | None]:
+    """LAPACK's lower band of the CSR matrix ``a``, a Fortran-ordered
+    ``(width, n)`` array, and the order ``perm`` it is built in: RCM
+    ordering, unless the matrix's own order already has the narrowest
+    possible band, when ``perm`` is None and SciPy's graph module is not
+    imported.
 
-    Entry (i, j) goes to (r, c) = (inv[i], inv[j]), and the lower band keeps
-    (r, c) at [r - c, c] for r >= c, so flat index |r - c| + min(r, c) * width
-    of the band in Fortran order.  An entry above the diagonal lands on its
-    mirror's slot, which needs no mask: ``MatrixSPD.from_csr`` stores exactly
-    symmetric entries, bit for bit, so (i, j) and (j, i) write one value.
-    A band above ``BAND_BUDGET`` entries is refused before allocation; below
-    it every flat index is under 2**27, so int32 arithmetic cannot overflow."""
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    Row i stores Delta = max(diff(indptr)) - 1 entries off the diagonal at
+    most, with equality somewhere (``_cholesky`` has refused a missing
+    diagonal), and any order puts them within w of i on both sides, so
+    Delta <= 2w.  A half-band w0 = ceil(Delta / 2) in the own order is thus
+    the narrowest, and the ordering is skipped.
 
+    Entry (i, j) goes to (r, c) = (inv[i], inv[j]) (the identity in the own
+    order), and the lower band keeps (r, c) at [r - c, c] for r >= c, so
+    flat index |r - c| + min(r, c) * width of the band in Fortran order.
+    An entry above the diagonal lands on its mirror's slot, which needs no
+    mask: ``MatrixSPD.from_csr`` stores exactly symmetric entries, bit for
+    bit, so (i, j) and (j, i) write one value.  A band above
+    ``BAND_BUDGET`` entries is refused before allocation; below it every
+    flat index is under 2**27, so int32 arithmetic cannot overflow."""
     n = a.shape[0]
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n, dtype=perm.dtype)
-    cols = inv[a.indices]
-    rows = np.repeat(inv, np.diff(a.indptr))
+    counts = np.diff(a.indptr)
+    cols = a.indices
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), counts)
     flat = rows - cols
     np.abs(flat, out=flat)
     width = int(flat.max()) + 1
+    perm = None
+    if 2 * (width - 1) > int(counts.max()):  # w0 > ceil(Delta / 2)
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(n, dtype=perm.dtype)
+        cols = inv[a.indices]
+        rows = np.repeat(inv, counts)
+        flat = rows - cols
+        np.abs(flat, out=flat)
+        width = int(flat.max()) + 1
     if width * n > BAND_BUDGET:
-        raise CgKitError(f"banded Cholesky needs {width} x {n} entries after RCM "
-                         f"ordering ({width * n / 2**27:.1f} GiB), above the 1 GiB budget")
+        order = "in its own order" if perm is None else "after RCM ordering"
+        raise CgKitError(f"banded Cholesky needs {width} x {n} entries {order} "
+                         f"({width * n / 2**27:.1f} GiB), above the 1 GiB budget")
     np.minimum(rows, cols, out=rows)
     rows *= width
     flat += rows
@@ -300,13 +322,16 @@ def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
 def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
     """The solution of ``m x = rhs`` from the ``_cholesky`` factor that
     certifies ``m`` as :func:`spd_validate` does (with its errors), which
-    is then dropped; a banded factor's RCM ordering is undone."""
+    is then dropped.  A banded factor is solved in its order: RCM ordering,
+    undone by two gathers, unless the matrix's own order already has the
+    narrowest possible band, which needs none."""
     factor, perm = _cholesky(m)
+    if m.is_dense:
+        return cho_solve((factor, True), rhs, check_finite=False)
     if perm is None:
-        x = cho_solve((factor, True), rhs, check_finite=False)
-    else:
-        x = np.empty_like(rhs)
-        x[perm] = cho_solve_banded((factor, True), rhs[perm], check_finite=False)
+        return cho_solve_banded((factor, True), rhs, check_finite=False)
+    x = np.empty_like(rhs)
+    x[perm] = cho_solve_banded((factor, True), rhs[perm], check_finite=False)
     return x
 
 

@@ -48,6 +48,7 @@ B_MODES = ("ones", "random", "from_known_solution")
 HILBERT_MAX_ORDER = 12
 
 _FMT = "%.17g"
+_COLUMN_SLICE = 4096  # values per string a column writer joins
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +143,13 @@ def _laplacian1d(n: int) -> MatrixSPD:
     would store the same arrays after a copy and a transpose check."""
     indptr = np.arange(-1, 3 * n, 3, dtype=np.int32)
     indptr[0], indptr[-1] = 0, 3 * n - 2
-    indices = (np.arange(-1, n - 1, dtype=np.int32)[:, None]
-               + np.arange(3, dtype=np.int32)).ravel()[1:-1]
-    data = np.tile([-1.0, 2.0, -1.0], n)[1:-1]
+    near = np.arange(-1, n + 1, dtype=np.int32)
+    indices = np.empty(3 * n, dtype=np.int32)  # row i at 3i: i - 1, i, i + 1
+    for k in range(3):
+        indices[k::3] = near[k:k + n]
+    data = np.full(3 * n, -1.0)
+    data[1::3] = 2.0
+    indices, data = indices[1:-1], data[1:-1]
     for arr in (indptr, indices, data):
         arr.setflags(write=False)
     return MatrixSPD._new("csr", csr_array((data, indices, indptr), shape=(n, n)))
@@ -482,13 +487,16 @@ def _lower_triangle(a: MatrixSPD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _write_column(stream, values: np.ndarray) -> None:
     """Write the 1-D array ``values`` one number per line, 17 significant
-    digits, as one string."""
-    stream.write("".join(map(f"{_FMT}\n".__mod__, values.tolist())))
+    digits, one string per ``_COLUMN_SLICE`` values, so memory stays
+    bounded at any length."""
+    line = f"{_FMT}\n".__mod__
+    for start in range(0, values.size, _COLUMN_SLICE):
+        stream.write("".join(map(line, values[start:start + _COLUMN_SLICE].tolist())))
 
 
 def write_vector_file(v, target) -> None:
     """One decimal per line, 17 significant digits (exact round-trip),
-    written as one string."""
+    written a slice at a time."""
     with _open_text(target, "w") as stream:
         _write_column(stream, as_vector(v, name="vector"))
 

@@ -273,6 +273,20 @@ def test_import_leaves_costly_scipy_modules_unloaded():
     assert res.stdout == "[]\n"
 
 
+def test_path_problems_never_load_the_graph_ordering():
+    # a tridiagonal problem is factored in its own order, so building one
+    # needs no reverse Cuthill-McKee from scipy.sparse.csgraph
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, cgkit; "
+            "cgkit.builtin_problem(cgkit.BuiltinProblemSpec(family='laplacian1d', n=1000)); "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_benchmark_imports_only_public_names():
     # the benchmark imports these names from the package; deleting one
     # breaks it, and it is changed only on its own

@@ -1,4 +1,7 @@
+import importlib.util
+import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from cgkit import (
     dot,
     generate_spd,
     matvec,
+    read_matrix_market,
     run_all_checks,
     solve,
     solve_direct,
@@ -376,6 +380,13 @@ def _tridiagonal(diag) -> sparse.csr_array:
     return sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), format="csr")
 
 
+def _shuffled_path(n, seed) -> sparse.csr_array:
+    """tridiag(-1, 2, -1) of order ``n``, symmetrically permuted at random."""
+    p = np.random.default_rng(seed).permutation(n)
+    lap = _tridiagonal(np.full(n, 2.0)).tocoo()
+    return sparse.csr_array((lap.data, (p[lap.row], p[lap.col])), shape=(n, n))
+
+
 DEFECTS = ("negative diagonal", "indefinite", "singular", "missing diagonal")
 
 
@@ -390,8 +401,8 @@ def not_spd(draw):
       -delta + (pi / (n + 1))**2 < 0;
     * singular: the path-graph Laplacian (d = 1 at both ends, 2 inside),
       whose last Cholesky pivot is exactly 0.  It is left in path order,
-      which reverse Cuthill-McKee finds again: in another order rounding
-      leaves that pivot tiny and of either sign;
+      whose band is already the narrowest, so the factor keeps that order:
+      in another order rounding leaves that pivot tiny and of either sign;
     * missing diagonal: d = 2 with one diagonal entry not stored.
     """
     n = draw(st.integers(2001, 2100))
@@ -515,21 +526,49 @@ class TestCholeskyCertificate:
         np.testing.assert_allclose(solve_direct(m, m.matvec(x_true)), x_true, rtol=1e-9)
 
 
-def _masked_band(a) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for ``linalg._lower_band``: the band as a masked 2-D scatter
-    wrote it, keeping only the entries on or below the diagonal after
-    reverse Cuthill-McKee ordering."""
+def _masked_band(a) -> tuple[np.ndarray, np.ndarray | None]:
+    """Oracle for ``linalg._lower_band``: the band in the matrix's own order
+    (``perm`` None) when its half-band is ceil(Delta / 2), for Delta the
+    most off-diagonal entries of a row, and :func:`_rcm_masked_band`
+    otherwise."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    off = rows != a.indices
+    delta = np.bincount(rows[off], minlength=n).max()
+    if np.abs(rows - a.indices).max() > (delta + 1) // 2:
+        return _rcm_masked_band(a)
+    return _masked_scatter(a, np.arange(n)), None
+
+
+def _rcm_masked_band(a) -> tuple[np.ndarray, np.ndarray]:
+    """The band after reverse Cuthill-McKee ordering, and that order."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     perm = reverse_cuthill_mckee(a, symmetric_mode=True)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(a.shape[0], dtype=perm.dtype)
+    return _masked_scatter(a, inv), perm
+
+
+def _masked_scatter(a, inv) -> np.ndarray:
+    """The lower band as a masked 2-D scatter wrote it, keeping only the
+    entries on or below the diagonal once entry (i, j) is moved to
+    (inv[i], inv[j])."""
     cols = inv[a.indices]
     offset = np.repeat(inv, np.diff(a.indptr)) - cols
     lower = offset >= 0
     band = np.zeros((int(offset.max()) + 1, a.shape[0]), order="F")
     band[offset[lower], cols[lower]] = a.data[lower]
-    return band, perm
+    return band
+
+
+def _minimizer(factor, perm, b) -> np.ndarray:
+    """``-A^{-1} b`` from a banded factor in the order ``perm``."""
+    if perm is None:
+        return scipy.linalg.cho_solve_banded((factor, True), -b)
+    x = np.empty_like(b)
+    x[perm] = scipy.linalg.cho_solve_banded((factor, True), -b[perm])
+    return x
 
 
 BAND_INPUTS = ("exactly symmetric", "symmetrized", "diagonal", "order 1", "components")
@@ -587,6 +626,7 @@ class TestBandAssembly:
         m = MatrixSPD.from_csr(a.indptr, a.indices, a.data, a.shape[0])
         band, perm = _lower_band(m._a)
         expected, expected_perm = _masked_band(m._a)
+        assert (perm is None) == (expected_perm is None)
         np.testing.assert_array_equal(perm, expected_perm)
         assert band.flags.f_contiguous and band.shape == expected.shape
         assert band.tobytes() == expected.tobytes()
@@ -595,9 +635,21 @@ class TestBandAssembly:
         oracle = scipy.linalg.cholesky_banded(expected, lower=True)
         assert factor.shape == oracle.shape and factor.tobytes() == oracle.tobytes()
         b = np.random.default_rng(seed).standard_normal(m.n)
-        x = np.empty(m.n)
-        x[perm] = scipy.linalg.cho_solve_banded((oracle, True), -b[perm])
+        x = _minimizer(oracle, expected_perm, b)
         assert QuadraticProblem(m, b).direct_solution().tobytes() == x.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=spd_csr_input())
+    def test_kept_order_is_as_narrow_as_rcm(self, case):
+        from cgkit.linalg import _lower_band
+
+        kind, a = case
+        m = MatrixSPD.from_csr(a.indptr, a.indices, a.data, a.shape[0])
+        band, perm = _lower_band(m._a)
+        if kind in ("diagonal", "order 1"):
+            assert perm is None and band.shape[0] == 1
+        if perm is None:
+            assert _rcm_masked_band(m._a)[0].shape[0] >= band.shape[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1000])
     def test_laplacian_arrays_equal_scipy_diags(self, n):
@@ -623,6 +675,83 @@ class TestBandAssembly:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             assert not got.flags.writeable
+
+
+def _gate_grid() -> MatrixSPD:
+    """The 3 x 4 grid matrix that ``tools/gate.py`` writes as ``A.mtx``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "gate.py"
+    spec = importlib.util.spec_from_file_location("gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return read_matrix_market(io.StringIO(gate.grid_general_mtx()))
+
+
+def _tridiagonal_mtx() -> MatrixSPD:
+    """A symmetric tridiagonal MatrixMarket file of order 50 with varied entries."""
+    rng = np.random.default_rng(4)
+    off = rng.uniform(-1.0, 1.0, 49)
+    lines = [f"{i + 1} {i + 1} {3.0 + rng.uniform():.17g}" for i in range(50)]
+    lines += [f"{i + 2} {i + 1} {v:.17g}" for i, v in enumerate(off)]
+    text = "\n".join(["%%MatrixMarket matrix coordinate real symmetric",
+                      f"50 50 {len(lines)}", *lines, ""])
+    return read_matrix_market(io.StringIO(text))
+
+
+class TestOwnOrder:
+    """A CSR matrix whose own order has the narrowest possible band is
+    factored in that order; any other goes through reverse Cuthill-McKee."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=1000)).A,
+        lambda: builtin_problem(BuiltinProblemSpec(
+            family="diagonal", n=40, eigenvalues=tuple(np.linspace(1.0, 9.0, 40)))).A,
+        lambda: MatrixSPD.from_csr([0, 1], [0], [3.0], 1),
+        _tridiagonal_mtx,
+    ], ids=["laplacian1d", "diagonal", "order-1", "tridiagonal-mtx"])
+    def test_narrowest_own_order_skips_the_ordering(self, build, monkeypatch):
+        import scipy.sparse.csgraph
+        from cgkit.linalg import _cholesky, _lower_band
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("reverse Cuthill-McKee was called")
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
+        m = build()
+        band, perm = _lower_band(m._a)
+        assert perm is None and band.shape[0] <= 2
+        assert _cholesky(m)[1] is None
+        x = QuadraticProblem(m, np.ones(m.n)).direct_solution()
+        np.testing.assert_allclose(m.matvec(x), -np.ones(m.n), rtol=1e-8)
+
+    @pytest.mark.parametrize("build", [
+        lambda: _csr(_shuffled_path(300, seed=5)),
+        _gate_grid,
+    ], ids=["shuffled-path", "gate-grid"])
+    def test_other_orders_keep_the_rcm_band_and_factor(self, build):
+        # the bytes that every CSR matrix got before the own order was kept
+        from cgkit.linalg import _cholesky, _lower_band
+
+        m = build()
+        band, perm = _lower_band(m._a)
+        expected, expected_perm = _rcm_masked_band(m._a)
+        assert perm is not None
+        np.testing.assert_array_equal(perm, expected_perm)
+        assert band.tobytes() == expected.tobytes()
+        factor, perm = _cholesky(m)
+        oracle = scipy.linalg.cholesky_banded(expected, lower=True)
+        assert factor.tobytes() == oracle.tobytes()
+        b = np.random.default_rng(6).standard_normal(m.n)
+        x = _minimizer(oracle, expected_perm, b)
+        assert QuadraticProblem(m, b).direct_solution().tobytes() == x.tobytes()
+
+    def test_oracle_equals_the_minimizer_in_the_own_order(self):
+        problem = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=5000,
+                                                     b_mode="random", b_seed=2))
+        x = problem.direct_solution()
+        assert solve_direct(problem.A, -problem.b).tobytes() == x.tobytes()
+        band = np.array([np.full(5000, 2.0), np.r_[-np.ones(4999), 0.0]], order="F")
+        factor = scipy.linalg.cholesky_banded(band, lower=True)
+        assert _minimizer(factor, None, problem.b).tobytes() == x.tobytes()
 
 
 class TestMatmat:

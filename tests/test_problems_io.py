@@ -407,6 +407,21 @@ class TestVectorFiles:
         got = read_vector_file(buf)
         np.testing.assert_array_equal(got, np.asarray(values))
 
+    def test_long_vector_is_written_in_bounded_memory(self, tmp_path):
+        # the bytes of one "%.17g\n" per value, joined a slice at a time
+        n = 100_000
+        v = np.random.default_rng(0).standard_normal(n) * 10.0 ** np.arange(-150, 150, 3e-3)
+        expected = "".join(map("%.17g\n".__mod__, v.tolist())).encode()
+        path = tmp_path / "v.txt"
+        tracemalloc.start()
+        try:
+            write_vector_file(v, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == expected
+        assert peak < 1e6
+
 
 class TestTraceDocuments:
     @pytest.fixture

@@ -8,14 +8,15 @@ runs once under each tree's ``src`` (``python -m cgkit ... --output FILE
 --no-timestamp``) from a directory of its own, so that the two runs print
 the same text.  The output files, standard output, standard error and exit
 codes are compared byte for byte.  The worktree is removed afterwards.
-Each directory first gets ``A.mtx`` (``grid_general_mtx``), the file that
-the ``--matrix`` commands read.  Exit status: 0 when every command agrees,
-1 otherwise.
+Each directory first gets ``A.mtx`` (``grid_general_mtx``) and ``P.mtx``
+(``shuffled_path_mtx``), the files that the ``--matrix`` commands read.
+Exit status: 0 when every command agrees, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -49,6 +50,10 @@ COMMANDS = (
     # document replays K recomputed CSR products
     ("verify-laplacian-n20000", ["verify", "--builtin", "laplacian1d", "--n", "20000",
                                  "--b", "random", "--max-iters", "60"], "out.json"),
+    # a path whose own order is not the narrowest: reverse Cuthill-McKee
+    # recovers its band, and the minimizer comes back through the ordering
+    ("verify-matrix-shuffled-path", ["verify", "--matrix", "P.mtx", "--b", "random"],
+     "out.json"),
     # a dense trace whose K = 128 steps end on a block edge: at n = 300 a
     # block holds 64 rows
     ("verify-random-n300-edge", ["verify", "--builtin", "random_spd", "--n", "300",
@@ -75,6 +80,18 @@ def grid_general_mtx() -> str:
                       f"{n} {n} {len(lines)}", *lines, ""])
 
 
+def shuffled_path_mtx() -> str:
+    """A 'symmetric' MatrixMarket file of tridiag(-1, 2, -1) of order 400,
+    its rows and columns permuted by a seeded shuffle."""
+    n = 400
+    p = list(range(n))
+    random.Random(0).shuffle(p)
+    lines = [f"{p[i] + 1} {p[i] + 1} 2" for i in range(n)]
+    lines += [f"{max(p[i], p[i + 1]) + 1} {min(p[i], p[i + 1]) + 1} -1" for i in range(n - 1)]
+    return "\n".join(["%%MatrixMarket matrix coordinate real symmetric",
+                      f"{n} {n} {len(lines)}", *lines, ""])
+
+
 def run(tree: Path, workdir: Path) -> dict[str, tuple]:
     """Each command's (exit code, stdout, stderr, output bytes) under ``tree``."""
     results = {}
@@ -82,6 +99,7 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
         cwd = workdir / name
         cwd.mkdir(parents=True)
         (cwd / "A.mtx").write_text(grid_general_mtx())
+        (cwd / "P.mtx").write_text(shuffled_path_mtx())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args, "--output", output, "--no-timestamp"],
             cwd=cwd, capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))

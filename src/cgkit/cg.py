@@ -33,7 +33,6 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -216,11 +215,12 @@ class IterationTrace:
     identities' hypotheses) applies.
 
     A traced :func:`solve` that takes a step stores ``x_0``, ``g_0`` and
-    the scalars ``alpha_k``, ``beta_k`` (for dense storage also the rows
-    ``A d_k``), and its ``records`` is a view over them that keeps nothing
-    it replays: ``len()`` costs nothing, ``records[k]`` replays the steps
-    through the block that holds step k, and iterating replays each step
-    once.  A traced solve that takes no step has ``records == ()``.
+    the scalars ``alpha_k``, ``beta_k`` (for dense storage also each
+    product ``A d_k`` as the solve returned it), and its ``records`` is a
+    view over them that keeps nothing it replays: ``len()`` costs nothing,
+    ``records[k]`` replays the steps through the block that holds step k,
+    and iterating replays each step once.  A traced solve that takes no
+    step has ``records == ()``.
     :meth:`steps` hands out the named vectors and scalars one step at a
     time, and :meth:`columns` stacked copies of them.  Both read
     :meth:`_blocks`, which replays ``g_k`` and ``d_k`` in row blocks,
@@ -255,8 +255,7 @@ class IterationTrace:
         """Bytes of the per-iteration vectors the trace holds.
 
         For a traced solve on dense storage that is ``x_0``, ``g_0`` and
-        the K rows ``A d_k``, (K + 2) n float64 values; rows the last block
-        reserved past K are never written and not counted.  On CSR storage
+        the K products ``A d_k``, (K + 2) n float64 values.  On CSR storage
         it is ``x_0`` and ``g_0``, 2 n values.  A traced solve that takes no
         step keeps no records and holds 0 bytes.  Replayed vectors are not
         held.  A trace built by hand counts its records' vectors.
@@ -412,12 +411,11 @@ def _advance(problem: QuadraticProblem, update: GradientUpdate, alpha: float,
     return x, _add_scaled(g, Ad, alpha, g_out, tmp)
 
 
-def _product(a: MatrixSPD, d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A d`` into ``out``.  The solver and the trace replay of CSR storage
-    both multiply here, with SciPy's one kernel, so a recomputed ``A d_k``
-    equals the solved one to the bit."""
-    np.copyto(out, a._a @ d)
-    return out
+def _product(a: MatrixSPD, d: np.ndarray) -> np.ndarray:
+    """``A d``, the fresh array that BLAS or SciPy returns.  The solver and
+    the trace replay of CSR storage both multiply here, with the one
+    kernel, so a recomputed ``A d_k`` equals the solved one to the bit."""
+    return a._a @ d
 
 
 def stepsize_exact(g_k, d_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
@@ -451,7 +449,7 @@ def stepsize_orthogonal(g_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float
 
 
 def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
-             x: np.ndarray, g: np.ndarray, d: np.ndarray, new_ad, tmp: np.ndarray,
+             x: np.ndarray, g: np.ndarray, d: np.ndarray, tmp: np.ndarray,
              prev: tuple | None = None, tol: float = -math.inf, cap: float = math.inf
              ) -> tuple[float, float | None, float | None, np.ndarray | None,
                         TerminationReason | None]:
@@ -469,9 +467,8 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
     Returns ``(g_k . g_k, alpha_k, beta_k, Ad, reason)``.  When
     ``||g_k|| <= tol`` or ``k >= cap`` the step is terminal: ``reason`` says
     which and the other three are None.  Otherwise ``d_k`` replaces
-    ``d_{k-1}`` in ``d`` and ``A d_k`` goes into ``Ad = new_ad()``, a row
-    asked for only here, so that a traced dense solve stores no product
-    for its terminal iterate.  A vanishing denominator raises
+    ``d_{k-1}`` in ``d`` and ``Ad`` is the array :func:`_product` returns,
+    which a traced dense solve keeps.  A vanishing denominator raises
     :class:`BreakdownError` at iteration ``k``.
     """
     if prev is not None:
@@ -497,9 +494,7 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
             else:
                 beta_k = _beta(config.beta_rule, g, g_prev, d, gg, gg_prev, tmp)
         _direction(g, None if prev is None else d, beta_k, d, tmp)
-        # a traced dense solve's pages fault in far faster as one block
-        # than as a fresh array per product, so A d is copied into a row
-        Ad = _product(problem.A, d, new_ad())
+        Ad = _product(problem.A, d)
         if config.stepsize_rule is StepsizeRule.EXACT_LINE_SEARCH:
             den = float(np.dot(d, Ad))
             alpha = (-float(np.dot(g, d)) / den if den > EPS_DENOMINATOR
@@ -522,33 +517,14 @@ def _start(problem: QuadraticProblem, x_0, x: np.ndarray, g: np.ndarray) -> None
     problem._gradient(x, out=g)
 
 
-# Largest trace block: the rows of one vector it holds stay within 256 kB.
+# Largest replay block: the rows of one vector it holds stay within 256 kB.
 _BLOCK_BYTES = 1 << 18
 
 
 def _block_len(n: int) -> int:
-    """Rows per trace block for vectors of length ``n``: the largest power
-    of two of rows that stays within ``_BLOCK_BYTES``, and at least one.  A
-    traced dense solve stores its ``A d`` rows in blocks of this many rows
-    and the replay cuts its blocks on the same grid, so stored block j is
-    replay block j."""
+    """Rows per replay block for vectors of length ``n``: the largest power
+    of two of rows that stays within ``_BLOCK_BYTES``, and at least one."""
     return 1 << max(0, (_BLOCK_BYTES // (8 * n)).bit_length() - 1)
-
-
-def _block_rows(n: int, count: int, blocks: list):
-    """At most ``count`` fresh rows of length ``n`` for a traced dense solve.
-
-    The rows come from blocks of :func:`_block_len` rows (the last one cut
-    to what is left of ``count``), each allocated (and appended to
-    ``blocks``) when the run reaches it: storage follows the steps taken,
-    not the cap, and no block is ever copied into a larger one.
-    """
-    size = _block_len(n)
-    while count > 0:
-        block = np.empty((min(size, count), n))
-        blocks.append(block)
-        count -= len(block)
-        yield from block
 
 
 _RECORD_NAMES = ("X", "G", "D", "AD", "alpha")
@@ -557,8 +533,8 @@ _RECORD_NAMES = ("X", "G", "D", "AD", "alpha")
 class _TraceRecords(Sequence):
     """The records of a traced solve that took at least one step, over what
     it stored: ``x_0``, ``g_0``, ``alpha_k``, ``beta_k``, the solver's
-    ``g_k . g_k`` and, for dense storage only, the first K rows ``A d_k`` of
-    its blocks (``ad_blocks`` is empty for CSR storage).
+    ``g_k . g_k`` and, for dense storage only, the K products ``A d_k`` the
+    solve returned (``ad_rows`` is empty for CSR storage).
 
     The records are a view of :meth:`_replay`, the one replay, and keep
     nothing of it: iterating runs it once and hands out each record with
@@ -568,15 +544,15 @@ class _TraceRecords(Sequence):
     O(K^2) steps.  Equality is identity: copied records hold distinct
     arrays, whose comparison has no single truth value."""
 
-    __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_blocks", "_alpha",
+    __slots__ = ("_problem", "_update", "_x0", "_g0", "_ad_rows", "_alpha",
                  "_beta", "_gg")
 
-    def __init__(self, problem, update, x0, g0, ad_blocks, alphas, betas, ggs):
-        for array in (x0, g0, *ad_blocks):
+    def __init__(self, problem, update, x0, g0, ad_rows, alphas, betas, ggs):
+        for array in (x0, g0, *ad_rows):
             array.setflags(write=False)
         self._problem, self._update = problem, update
         self._x0, self._g0 = x0, g0
-        self._ad_blocks = ad_blocks
+        self._ad_rows = ad_rows
         self._alpha = alphas
         self._beta = betas  # None at k = 0
         self._gg = ggs
@@ -604,29 +580,27 @@ class _TraceRecords(Sequence):
 
     @property
     def stored_bytes(self) -> int:
-        rows = len(self) if self._problem.A.is_dense else 0
-        return (rows + 2) * self._x0.nbytes
+        return (len(self._ad_rows) + 2) * self._x0.nbytes
 
     def _replay(self, names, into: dict):
         """:meth:`IterationTrace._blocks` of a traced solve, in blocks of
         :func:`_block_len` rows.
 
-        Each block holds at most ``_BLOCK_BYTES`` of a vector.  For dense
-        storage block j is the solve's stored block j of ``A d`` rows, whose
-        view is its ``"AD"``.  ``"X"``, ``"G"``, ``"D"`` and, for CSR
-        storage, ``"AD"`` go into their rows of ``into[name]`` if given,
-        into fresh arrays otherwise.
+        Each block holds at most ``_BLOCK_BYTES`` of a vector.  ``"X"``,
+        ``"G"``, ``"D"`` and ``"AD"`` go into their rows of ``into[name]``
+        if given, into fresh arrays otherwise.
 
         One row loop replays each step as the solver took it: ``g_k`` (and
         ``x_k`` when X is named or the gradient is explicit) through
         :func:`_advance`, ``d_k`` through :func:`_direction` and, for CSR
         storage, ``A d_k`` through :func:`_product`, unless the gradient is
-        explicit and AD is not named.
+        explicit and AD is not named.  Dense storage reads the stored
+        ``A d_k`` and copies a block of them only when AD is named.
         """
         explicit = self._update == GradientUpdate.EXPLICIT
         dense = self._problem.A.is_dense
         vector_names = ["G", "D"] + ["X"] * (explicit or "X" in names)
-        if not dense and (not explicit or "AD" in names):
+        if "AD" in names or not (dense or explicit):
             vector_names.append("AD")
         n, K = self._x0.size, len(self)
         size = _block_len(n)
@@ -639,9 +613,9 @@ class _TraceRecords(Sequence):
             k1 = min(k0 + size, K)
             vectors = {name: into[name][k0:k1] if name in into else np.empty((k1 - k0, n))
                        for name in vector_names}
-            if dense:
-                vectors["AD"] = self._ad_blocks[k0 // size][:k1 - k0]
             X, G, D, AD = (vectors.get(name) for name in ("X", "G", "D", "AD"))
+            if dense and AD is not None:
+                AD[:] = self._ad_rows[k0:k1]
             if k0 == 0:
                 G[0] = g
                 if X is not None:
@@ -651,8 +625,10 @@ class _TraceRecords(Sequence):
                     x, g = _advance(self._problem, self._update, self._alpha[k - 1], d,
                                     ad, x, g, None if X is None else X[i], G[i], tmp)
                 d = _direction(G[i], d, self._beta[k], D[i], tmp)
-                if AD is not None:
-                    ad = AD[i] if dense else _product(self._problem.A, d, AD[i])
+                if dense:
+                    ad = self._ad_rows[k]
+                elif AD is not None:
+                    ad = AD[i] = _product(self._problem.A, d)
             for block in vectors.values():
                 block.setflags(write=False)
             yield tuple(scalars[name][k0:k1] if name in scalars else vectors[name]
@@ -686,7 +662,7 @@ def initial_record(problem: QuadraticProblem, x_0, config: SolverConfig | None =
     x, g, d = (np.empty(problem.n) for _ in range(3))
     _start(problem, x_0, x, g)
     _, alpha, _, Ad, _ = _iterate(problem, config or SolverConfig(), 0, x, g, d,
-                                  partial(np.empty, problem.n), np.empty(problem.n))
+                                  np.empty(problem.n))
     return IterationRecord(k=0, x=x, g=g, d=d, alpha=alpha, beta=None, Ad=Ad)
 
 
@@ -719,7 +695,7 @@ def step(problem: QuadraticProblem, record_k: IterationRecord,
     d = np.array(record_k.d, dtype=np.float64)
     g = np.empty(n)
     _, alpha, beta_k, Ad, _ = _iterate(
-        problem, config, record_k.k + 1, x, g, d, partial(np.empty, n), np.empty(n),
+        problem, config, record_k.k + 1, x, g, d, np.empty(n),
         (record_k.g, record_k.Ad, record_k.alpha, gg), tol)
     return IterationRecord(k=record_k.k + 1, x=x, g=g, d=None if alpha is None else d,
                            alpha=alpha, beta=beta_k, Ad=Ad)
@@ -736,22 +712,18 @@ def solve(problem: QuadraticProblem, x_0=None,
     ``config.record_trace`` the trace keeps ``x_0``, ``g_0``, ``alpha_k``,
     ``beta_k`` and ``g_k . g_k``, and its records replay ``g_k``, ``x_k``
     and ``d_k`` from them when read; a run that takes no step keeps no
-    records.  For dense storage each step then writes ``A d_k`` into a row
-    of blocks of :func:`_block_len` rows, allocated as the run proceeds and
-    cut on the replay's block grid, which the trace keeps too; a product
-    costs n^2 reads there, a stored row n.  For CSR storage, and for every
-    untraced solve, ``A d`` reuses one row, and the replay recomputes
-    ``A d_k`` with the same kernel.
+    records.  For dense storage the trace then keeps each step's ``A d_k``,
+    the array the product returned; a product costs n^2 reads there, a
+    stored row n.  For CSR storage, and for every untraced solve, each
+    ``A d_k`` is dropped after its step, and the replay recomputes it with
+    the same kernel.
     """
     config = config or SolverConfig()
     n = problem.n
     cap = config.max_iterations if config.max_iterations is not None else n
     x, d, tmp = np.empty(n), np.empty(n), np.empty(n)
     g_rows = itertools.cycle(np.empty((2, n)))
-    ad_blocks: list[np.ndarray] = []
-    new_ad = (_block_rows(n, cap, ad_blocks).__next__
-              if config.record_trace and problem.A.is_dense
-              else itertools.repeat(np.empty(n)).__next__)
+    ad_rows = [] if config.record_trace and problem.A.is_dense else None
     g = next(g_rows)
     _start(problem, x_0, x, g)
     start = (x.copy(), g.copy()) if config.record_trace else None
@@ -766,9 +738,11 @@ def solve(problem: QuadraticProblem, x_0=None,
     try:
         while True:
             gg, alpha, beta_k, Ad, reason = _iterate(
-                problem, config, len(alphas), x, g, d, new_ad, tmp, prev, tol, cap)
+                problem, config, len(alphas), x, g, d, tmp, prev, tol, cap)
             if reason is not None:
                 break
+            if ad_rows is not None:
+                ad_rows.append(Ad)
             alphas.append(alpha)
             betas.append(beta_k)
             ggs.append(gg)
@@ -780,7 +754,7 @@ def solve(problem: QuadraticProblem, x_0=None,
 
     records = ()
     if config.record_trace and alphas:
-        records = _TraceRecords(problem, config.gradient_update, *start, ad_blocks,
+        records = _TraceRecords(problem, config.gradient_update, *start, ad_rows or [],
                                 alphas, betas, ggs)
     # final_g is a copy, so that keeping it does not keep the ring alive
     trace = IterationTrace(records, x, g.copy(), len(alphas), reason, tol,

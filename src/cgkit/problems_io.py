@@ -48,7 +48,7 @@ B_MODES = ("ones", "random", "from_known_solution")
 HILBERT_MAX_ORDER = 12
 
 _FMT = "%.17g"
-_COLUMN_SLICE = 4096  # values per string a column writer joins
+_LINE_SLICE = 4096  # lines per string a text writer joins
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +451,19 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
             ii, jj, values = _lower_triangle(a)
             stream.write("%%MatrixMarket matrix coordinate real symmetric\n")
             stream.write(f"{a.n} {a.n} {ii.size}\n")
-            for i, j, v in zip(ii.tolist(), jj.tolist(), values.tolist()):
-                stream.write(f"{i + 1} {j + 1} {_FMT % v}\n")
+            _write_lines(stream, ii + 1, jj + 1, values, line=f"%d %d {_FMT}\n")
         else:
             stream.write("%%MatrixMarket matrix array real general\n")
             stream.write(f"{a.n} {a.n}\n")
             if a.is_dense:
                 for row in a._a:
-                    _write_column(stream, row)
+                    _write_lines(stream, row)
             else:  # each row scattered into one vector of zeros
                 indptr, indices, data = a.csr_arrays
                 row = np.zeros(a.n)
                 for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
                     row[indices[lo:hi]] = data[lo:hi]
-                    _write_column(stream, row)
+                    _write_lines(stream, row)
                     row[indices[lo:hi]] = 0.0
 
 
@@ -485,20 +484,22 @@ def _lower_triangle(a: MatrixSPD) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[keep], cols[keep], values[keep]
 
 
-def _write_column(stream, values: np.ndarray) -> None:
-    """Write the 1-D array ``values`` one number per line, 17 significant
-    digits, one string per ``_COLUMN_SLICE`` values, so memory stays
-    bounded at any length."""
-    line = f"{_FMT}\n".__mod__
-    for start in range(0, values.size, _COLUMN_SLICE):
-        stream.write("".join(map(line, values[start:start + _COLUMN_SLICE].tolist())))
+def _write_lines(stream, *columns: np.ndarray, line: str = f"{_FMT}\n") -> None:
+    """Write ``line % row`` for each row of the equally long 1-D arrays
+    ``columns`` (by default one number per line, 17 significant digits),
+    one string per ``_LINE_SLICE`` lines, so memory stays bounded at any
+    length."""
+    fill = line.__mod__
+    for start in range(0, len(columns[0]), _LINE_SLICE):
+        rows = zip(*(column[start:start + _LINE_SLICE].tolist() for column in columns))
+        stream.write("".join(map(fill, rows)))
 
 
 def write_vector_file(v, target) -> None:
     """One decimal per line, 17 significant digits (exact round-trip),
     written a slice at a time."""
     with _open_text(target, "w") as stream:
-        _write_column(stream, as_vector(v, name="vector"))
+        _write_lines(stream, as_vector(v, name="vector"))
 
 
 def read_vector_file(source) -> np.ndarray:
@@ -739,9 +740,11 @@ def write_trace(doc: TraceDocument, target, *, fmt: str = "structured") -> None:
     """Serialize a trace document (``structured`` JSON or ``tabular`` CSV)."""
     if fmt not in ("structured", "tabular"):
         raise ValueError(f"unknown trace format {fmt!r}")
-    payload = doc.to_json() + "\n" if fmt == "structured" else doc.to_tabular()
+    payload = doc.to_json() if fmt == "structured" else doc.to_tabular()
     with _open_text(target, "w") as stream:
         stream.write(payload)
+        if fmt == "structured":
+            stream.write("\n")
 
 
 def read_trace(source) -> TraceDocument:

@@ -647,10 +647,9 @@ class TestBlockReplay:
     """The trace replays x_k, g_k and d_k in row blocks; steps, columns and
     records all equal the step chain, which computes every step afresh."""
 
-    # at n = 300 a block holds 64 rows, for the replay and for a dense
-    # solve's stored A d rows alike, so blocks end after 64, 128, 192,
-    # 256, ... steps; the step counts below end inside, on and just past
-    # those edges
+    # at n = 300 a replay block holds 64 rows, so blocks end after 64, 128,
+    # 192, 256, ... steps; the step counts below end inside, on and just
+    # past those edges
     step_counts = pytest.mark.parametrize("K", [1, 8, 9, 56, 64, 65, 121, 128, 260],
                                           ids=lambda K: f"K{K}")
 
@@ -735,6 +734,22 @@ class TestBlockReplay:
         # the last block holds what is left of the 200 steps
         assert rows[192].base is rows[199].base
         assert rows[199].base.shape == (8, problem.n)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_record_slices_equal_the_records(self, problem, storage):
+        # 70 steps cross the block edge after 64
+        _, trace = solve(_in_storage(problem, storage),
+                         config=SolverConfig(max_iterations=70))
+        records = tuple(trace.records)
+        for index in (slice(1, 4), slice(None, None, -1), slice(-2, None)):
+            got, want = trace.records[index], records[index]
+            assert isinstance(got, tuple)
+            assert ([(rec.k, rec.alpha, rec.beta) for rec in got]
+                    == [(rec.k, rec.alpha, rec.beta) for rec in want])
+            for rec, expected in zip(got, want):
+                for name in ("x", "g", "d", "Ad"):
+                    np.testing.assert_array_equal(getattr(rec, name),
+                                                  getattr(expected, name))
 
     @pytest.mark.parametrize("update", list(GradientUpdate), ids=lambda u: u.value)
     def test_document_rows_equal_the_records(self, problem, update):

@@ -298,6 +298,40 @@ class TestMatrixMarketFromCsr:
             write_matrix_market(a, buf)
             assert buf.getvalue() == expected
 
+    @staticmethod
+    def _entry_by_entry(a: MatrixSPD) -> str:
+        """The coordinate file written one entry at a time: the nonzero
+        lower triangle in row-major order."""
+        if a.is_dense:
+            m = sparse.csr_matrix(a.to_dense())
+        else:
+            indptr, indices, data = a.csr_arrays
+            m = sparse.csr_matrix((data, indices, indptr), shape=(a.n, a.n))
+        lower = sparse.tril(m, format="csr")
+        lower.eliminate_zeros()
+        lower.sort_indices()
+        stream = io.StringIO()
+        stream.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        stream.write(f"{a.n} {a.n} {lower.nnz}\n")
+        for i in range(a.n):
+            lo, hi = lower.indptr[i], lower.indptr[i + 1]
+            for j, v in zip(lower.indices[lo:hi].tolist(), lower.data[lo:hi].tolist()):
+                stream.write(f"{i + 1} {j + 1} {'%.17g' % v}\n")
+        return stream.getvalue()
+
+    # laplacian1d and random_spd write more lines than one joined slice
+    # (4096) holds
+    @pytest.mark.parametrize("spec", [
+        BuiltinProblemSpec(family="laplacian1d", n=5000),
+        BuiltinProblemSpec(family="random_spd", n=100, seed=3,
+                           spectrum=SpectrumSpec(lam_min=1.0, lam_max=1e3)),
+        BuiltinProblemSpec(family="hilbert", n=12)], ids=["csr", "dense", "hilbert"])
+    def test_bytes_equal_an_entry_by_entry_loop(self, spec):
+        a = builtin_problem(spec).A
+        buf = io.StringIO()
+        write_matrix_market(a, buf, fmt="coordinate")
+        assert buf.getvalue() == self._entry_by_entry(a)
+
     def test_large_laplacian_written_without_densifying(self):
         n = 100_000  # a dense copy would take 80 GB
         a = builtin_problem(BuiltinProblemSpec(family="laplacian1d", n=n)).A

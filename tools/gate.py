@@ -3,11 +3,12 @@
 
     python3 tools/gate.py REF        # e.g. HEAD, main, a commit id
 
-REF is checked out into a temporary ``git worktree``.  Each gate command
-runs once under each tree's ``src`` (``python -m cgkit ... --output FILE
+REF's files are extracted with ``git archive`` into a temporary directory,
+so the run writes nothing under ``.git``.  Each gate command runs once
+under each tree's ``src`` (``python -m cgkit ... --output FILE
 --no-timestamp``) from a directory of its own, so that the two runs print
 the same text.  The output files, standard output, standard error and exit
-codes are compared byte for byte.  The worktree is removed afterwards.
+codes are compared byte for byte.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``) and ``P.mtx``
 (``shuffled_path_mtx``), the files that the ``--matrix`` commands read.
 Exit status: 0 when every command agrees, 1 otherwise.
@@ -15,10 +16,12 @@ Exit status: 0 when every command agrees, 1 otherwise.
 
 from __future__ import annotations
 
+import io
 import os
 import random
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -54,8 +57,8 @@ COMMANDS = (
     # recovers its band, and the minimizer comes back through the ordering
     ("verify-matrix-shuffled-path", ["verify", "--matrix", "P.mtx", "--b", "random"],
      "out.json"),
-    # a dense trace whose K = 128 steps end on a block edge: at n = 300 a
-    # block holds 64 rows
+    # a dense trace of K = 128 steps, which ends on a replay block edge: at
+    # n = 300 a block holds 64 rows
     ("verify-random-n300-edge", ["verify", "--builtin", "random_spd", "--n", "300",
                                  "--cond", "1e4", "--b", "random", "--max-iters", "128",
                                  "--include-vectors"], "out.json"),
@@ -92,6 +95,14 @@ def shuffled_path_mtx() -> str:
                       f"{n} {n} {len(lines)}", *lines, ""])
 
 
+def extract(ref: str, dest: Path) -> None:
+    """Write the files of commit ``ref`` into ``dest``, by ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def run(tree: Path, workdir: Path) -> dict[str, tuple]:
     """Each command's (exit code, stdout, stderr, output bytes) under ``tree``."""
     results = {}
@@ -115,14 +126,8 @@ def main(argv: list[str]) -> int:
     ref = argv[0]
     with tempfile.TemporaryDirectory(prefix="cgkit-gate-") as tmp:
         tmp = Path(tmp)
-        checkout = tmp / "ref"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach",
-                        str(checkout), ref], check=True)
-        try:
-            before = run(checkout, tmp / "runs-ref")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(checkout)], check=True)
+        extract(ref, tmp / "ref")
+        before = run(tmp / "ref", tmp / "runs-ref")
         after = run(ROOT, tmp / "runs-tree")
     fields = ("exit code", "stdout", "stderr", "output file")
     failed = 0

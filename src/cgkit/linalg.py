@@ -38,8 +38,9 @@ __all__ = [
     "DENSIFY_CAP",
 ]
 
-# Largest order whose exact condition a relaxed report quotes, by a dense
-# eigensolve (``verify.estimate_condition``); nothing else is capped by order.
+# Largest order whose exact condition ``verify.estimate_condition`` computes,
+# by a dense eigensolve; the verifier does not call it, and nothing else is
+# capped by order.
 DENSIFY_CAP = 2000
 
 # Most float64 entries (1 GiB) in the band of a CSR matrix's Cholesky factor.
@@ -420,8 +421,10 @@ def generate_spd(n: int, spec: SpectrumSpec, seed: int) -> MatrixSPD:
     """Dense SPD matrix with the spectrum of ``spec``, deterministic in ``seed``.
 
     The eigenbasis is the Q factor of one Householder QR of a seeded
-    Gaussian matrix, its columns signed by R's diagonal so that it is
-    Haar-distributed (Mezzadri, Notices AMS 2007).  That Q is orthogonal to
+    Gaussian matrix.  Signing Q's columns by R's diagonal would make it
+    Haar-distributed (Mezzadri, Notices AMS 2007), but a column's sign
+    cancels in each term of ``(q * lams) @ q.T``, so A is, bit for bit, the
+    matrix that the Haar Q gives, and has its law.  Q is orthogonal to
     working precision (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 19.3), so each eigenvalue is planted within a small
     multiple of eps * lam_max.
@@ -430,18 +433,8 @@ def generate_spd(n: int, spec: SpectrumSpec, seed: int) -> MatrixSPD:
         raise ProblemSpecError("n must be at least 1")
     rng = np.random.default_rng(seed)
     lams = spec.materialize(n, rng)
-    q = _random_orthogonal(n, rng)
-    a = (q * lams) @ q.T
-    return MatrixSPD.from_dense(a)
-
-
-def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * _nonzero_sign(np.diag(r))
-
-
-def _nonzero_sign(d: np.ndarray) -> np.ndarray:
-    return np.where(d >= 0.0, 1.0, -1.0)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]  # R is freed at once
+    return MatrixSPD.from_dense((q * lams) @ q.T)
 
 
 def solve_direct(a, rhs) -> np.ndarray:

@@ -21,9 +21,9 @@ gradients normalized, their A-products form the CG-Lanczos tridiagonal
 T_K, whose entries are the recorded stepsizes and couplings (diagonal
 1/alpha_k + beta_k/alpha_{k-1}, off-diagonal sqrt(beta_k)/alpha_{k-1}).
 Its extreme eigenvalues, the Ritz values, lie inside A's spectrum, so
-their ratio is a lower bound on A's condition and needs no eigensolve of
-A; only a relaxed report quotes the exact dense value, up to
-``DENSIFY_CAP``.
+their ratio is a lower bound on A's condition in exact arithmetic.  It is
+the schedule's only condition, at every order, and every report quotes
+it: the verifier never densifies A or solves its eigenproblem.
 
 The checks are linear algebra on the recorded vectors stacked as rows of
 (K, n) arrays G, D and AD, which the trace hands out as columns: AD as
@@ -162,9 +162,8 @@ class VerificationReport:
     normalized tolerance because of high estimated conditioning; such a
     report documents measured floating-point residuals and does not certify
     the exact-arithmetic identities.  ``condition_estimate`` is the Ritz
-    estimate from the recorded steps, a lower bound on A's condition; a
-    relaxed report gives the exact dense value instead when A's order is at
-    most ``DENSIFY_CAP``.
+    estimate from the recorded steps, a lower bound on A's condition in
+    exact arithmetic, and ``inf`` when a recorded step is invalid.
     """
 
     checks: tuple[CheckResult, ...]
@@ -203,9 +202,9 @@ def estimate_condition(a: MatrixSPD | np.ndarray) -> float | None:
     """Spectral condition of ``a`` via a dense eigensolve.
 
     Returns None for matrices of order above ``DENSIFY_CAP``; ``inf`` when
-    the smallest eigenvalue is not positive.  The tolerance schedule of the
-    identity checks calls it only to quote the exact condition in a relaxed
-    report; it decides from the Ritz estimate of the recorded steps.
+    the smallest eigenvalue is not positive.  The verifier does not call
+    it: its tolerance schedule and reports use the Ritz estimate of the
+    recorded steps, which this exact value bounds from above.
     """
     if isinstance(a, MatrixSPD):
         if a.n > DENSIFY_CAP:
@@ -242,14 +241,13 @@ def _ritz_extremes(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float] |
     return float(lo), float(hi)
 
 
-def _tolerance_schedule(s: _Stacked, a, tolerance: float | None
+def _tolerance_schedule(s: _Stacked, tolerance: float | None
                         ) -> tuple[float, bool, float | None, tuple[str, ...]]:
     """Resolve (tolerance, relaxed, condition, notes) for identity checks.
 
-    The Ritz estimate of the recorded steps decides.  Since it can only
-    understate A's condition, an estimate above the threshold is a sure
-    reason to relax; the report then quotes the exact condition of ``a``
-    where it can be computed densely.
+    The Ritz estimate of the recorded steps decides and is the condition
+    reported.  Since it can only understate A's condition, an estimate
+    above the threshold is a sure reason to relax.
     """
     if tolerance is not None:
         return tolerance, False, None, ()
@@ -257,9 +255,6 @@ def _tolerance_schedule(s: _Stacked, a, tolerance: float | None
     cond = ritz[1] / ritz[0] if ritz is not None and ritz[0] > 0.0 else math.inf
     if cond <= CONDITION_RELAX_THRESHOLD:
         return DEFAULT_CHECK_TOLERANCE, False, cond, ()
-    exact = estimate_condition(a) if a is not None else None
-    if exact is not None:
-        cond = exact
     note = (f"normalized tolerance relaxed to {RELAXED_CHECK_TOLERANCE:.0e} "
             f"for estimated condition {cond:.2e}; residuals below are "
             "measured floating-point values, not an exact-arithmetic "
@@ -320,7 +315,7 @@ def _check_tolerance(value: float | None, name: str) -> None:
         raise ProblemSpecError(f"{name} must be nonnegative, got {value!r}")
 
 
-def _identity_report(trace: IterationTrace, a, tolerance: float | None, families,
+def _identity_report(trace: IterationTrace, tolerance: float | None, families,
                      what: str, tail: tuple[CheckResult, ...] = ()) -> VerificationReport:
     """The one path of every identity check.
 
@@ -337,7 +332,7 @@ def _identity_report(trace: IterationTrace, a, tolerance: float | None, families
             raise IncompleteTraceError(f"{what} needs at least one recorded iteration")
         return _report(tail, notes=("no iterations recorded; identity checks skipped",))
     stacked = _Stacked(*trace.columns("G", "D", "AD", "alpha", "beta"))
-    tol, relaxed, cond, notes = _tolerance_schedule(stacked, a, tolerance)
+    tol, relaxed, cond, notes = _tolerance_schedule(stacked, tolerance)
     return _report((*families(stacked, tol), *tail), relaxed, cond, notes)
 
 
@@ -456,10 +451,11 @@ def check_classical_identities(trace: IterationTrace, a,
     * gradient/direction:     g_i . d_j = 0            (by ||g_i|| ||d_j||)
     * gradient orthogonality: g_i . g_j = 0            (by ||g_i|| ||g_j||)
 
-    Uses the ``A d_k`` products of the trace: a dense trace stores them, and
-    a CSR trace's replay recomputes them, one sparse product per iteration.
+    Uses the ``A d_k`` products of the trace, not ``a``: a dense trace
+    stores them, and a CSR trace's replay recomputes them, one sparse
+    product per iteration.
     """
-    return _identity_report(trace, a, tolerance, _classical, "classical-identity check")
+    return _identity_report(trace, tolerance, _classical, "classical-identity check")
 
 
 def check_gradient_conjugacy(trace: IterationTrace, a,
@@ -471,8 +467,7 @@ def check_gradient_conjugacy(trace: IterationTrace, a,
     are normalized by the A-norm product of the participating gradients.
     The products ``A g_k`` of all recorded gradients are one block product.
     """
-    return _identity_report(trace, a, tolerance,
-                            lambda s, tol: _gradient_conjugacy(s, a, tol),
+    return _identity_report(trace, tolerance, lambda s, tol: _gradient_conjugacy(s, a, tol),
                             "gradient-conjugacy check")
 
 
@@ -484,7 +479,7 @@ def check_stepsize_equivalence(trace: IterationTrace,
     iteration.  A formula breaking down on its recorded vectors is reported
     as an infinite residual for that iteration rather than raising.
     """
-    return _identity_report(trace, None, tolerance, _stepsize_equivalence,
+    return _identity_report(trace, tolerance, _stepsize_equivalence,
                             "stepsize-equivalence check")
 
 
@@ -532,7 +527,7 @@ def check_beta_agreement(trace: IterationTrace,
     for its iteration as an infinite residual.
     """
     strict = DEFAULT_CHECK_TOLERANCE if tolerance is None else tolerance
-    return _identity_report(trace, None, strict, _beta_agreement, "beta-agreement check")
+    return _identity_report(trace, strict, _beta_agreement, "beta-agreement check")
 
 
 def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
@@ -552,5 +547,5 @@ def run_all_checks(trace: IterationTrace, problem: QuadraticProblem,
                 *_stepsize_equivalence(s, STEPSIZE_TOLERANCE), *_beta_agreement(s, tol))
 
     termination = check_finite_termination(trace, problem, tolerance_x=tolerance_x).checks
-    return _identity_report(trace, problem.A, tolerance, families, "verification",
+    return _identity_report(trace, tolerance, families, "verification",
                             tail=termination)

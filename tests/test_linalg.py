@@ -323,6 +323,22 @@ class TestGenerateSpd:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 200])
+    @pytest.mark.parametrize("spec", [
+        SpectrumSpec(lam_min=1.0, lam_max=1e6, distribution="loguniform"),
+        SpectrumSpec(lam_min=0.5, lam_max=9.0, distribution="linear"),
+        SpectrumSpec(lam_min=1.0, lam_max=1e3, distribution="clustered", clusters=3),
+    ], ids=["loguniform", "linear", "clustered"])
+    def test_equals_the_haar_signed_construction(self, n, spec):
+        # signing Q's columns by diag(R) makes Q Haar; each column's sign
+        # cancels in (q * lams) @ q.T term by term, so A is the same bits
+        rng = np.random.default_rng(n + 17)
+        lams = spec.materialize(n, rng)
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+        haar = MatrixSPD.from_dense((q * lams) @ q.T)
+        assert np.array_equal(generate_spd(n, spec, seed=n + 17).to_dense(), haar.to_dense())
+
     def test_eigenvalue_count_must_match(self):
         with pytest.raises(ProblemSpecError):
             generate_spd(3, SpectrumSpec(eigenvalues=(1.0, 2.0)), seed=0)

@@ -1,5 +1,6 @@
 """The repository's tools: ``tools/gate.py`` reads a commit's files with
-``git archive`` and writes nothing under ``.git``."""
+``git archive``, writes nothing under ``.git`` and names the JSON members
+at which two outputs differ."""
 
 import importlib.util
 import shutil
@@ -30,3 +31,17 @@ def test_gate_extracts_the_ref_and_leaves_git_unchanged(tmp_path):
     gate.extract("HEAD", tmp_path)
     assert (tmp_path / "src" / "cgkit" / "__init__.py").is_file()
     assert _git_state() == before
+
+
+def test_gate_names_the_json_members_that_differ():
+    gate = _load_tool("gate")
+    old = (b'{"verification": {"passed": false, "condition_estimate": 1.6e16,'
+           b' "notes": ["relaxed for 1.65e+16", "b"]}, "beta": [NaN, 0.5]}')
+    new = (b'{"verification": {"passed": false, "condition_estimate": 1.6e8,'
+           b' "notes": ["relaxed for 1.63e+08", "b"]}, "beta": [NaN, 0.5, 0.25]}')
+    assert gate.json_differences(old, new) == [
+        "verification.condition_estimate", "verification.notes[0]", "beta"]
+    assert gate.json_differences(old, new, limit=1) == ["verification.condition_estimate"]
+    assert gate.json_differences(old, old) == []
+    assert gate.json_differences(b"k,alpha\n0,0.5\n", old) == []
+    assert gate.json_differences(None, new) == []

@@ -8,7 +8,8 @@ so the run writes nothing under ``.git``.  Each gate command runs once
 under each tree's ``src`` (``python -m cgkit ... --output FILE
 --no-timestamp``) from a directory of its own, so that the two runs print
 the same text.  The output files, standard output, standard error and exit
-codes are compared byte for byte.
+codes are compared byte for byte; where the output files differ and both
+parse as JSON, the first paths at which they differ are printed too.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``) and ``P.mtx``
 (``shuffled_path_mtx``), the files that the ``--matrix`` commands read.
 Exit status: 0 when every command agrees, 1 otherwise.
@@ -17,6 +18,7 @@ Exit status: 0 when every command agrees, 1 otherwise.
 from __future__ import annotations
 
 import io
+import json
 import os
 import random
 import subprocess
@@ -119,6 +121,32 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
     return results
 
 
+def json_differences(old: bytes | None, new: bytes | None, limit: int = 5) -> list[str]:
+    """The first ``limit`` paths, such as ``verification.notes[0]``, of the
+    members that differ between two JSON documents; empty when either side
+    is not JSON."""
+    try:
+        docs = json.loads(old), json.loads(new)
+    except (TypeError, ValueError):
+        return []
+    found: list[str] = []
+
+    def walk(a, b, path: str) -> None:
+        if len(found) >= limit:
+            return
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in [*a, *(k for k in b if k not in a)]:
+                walk(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{i}]")
+        elif repr(a) != repr(b):  # repr, so that NaN equals NaN
+            found.append(path or "(document)")
+
+    walk(*docs, "")
+    return found
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/gate.py REF", file=sys.stderr)
@@ -137,6 +165,9 @@ def main(argv: list[str]) -> int:
         size = len(after[name][3] or b"")
         print(f"{'DIFFER' if differ else 'same  '} {name} (exit {after[name][0]}, "
               f"{size} bytes){': ' + ', '.join(differ) if differ else ''}")
+        paths = json_differences(before[name][3], after[name][3]) if differ else []
+        if paths:
+            print(f"       members: {', '.join(paths)}")
         failed += bool(differ)
     print(f"{len(COMMANDS) - failed} of {len(COMMANDS)} commands equal to {ref}")
     return 1 if failed else 0

@@ -418,21 +418,21 @@ def _product(a: MatrixSPD, d: np.ndarray) -> np.ndarray:
     return a._a @ d
 
 
-def stepsize_exact(g_k, d_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
+def stepsize_exact(g_k, d_k, Ad_k) -> float:
     """Exact line-search stepsize ``-(g_k . d_k) / (d_k . A d_k)``.
 
     The denominator is positive for d_k != 0 under SPD A; values at or
-    below ``eps_den`` raise :class:`BreakdownError`.
+    below ``EPS_DENOMINATOR`` raise :class:`BreakdownError`.
     """
     den = dot(d_k, Ad_k)
-    if den <= eps_den:
+    if den <= EPS_DENOMINATOR:
         raise BreakdownError(
             f"exact-stepsize denominator d.Ad = {den:.3e} is numerically zero "
             "or negative", rule="exact")
     return -dot(g_k, d_k) / den
 
 
-def stepsize_orthogonal(g_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float:
+def stepsize_orthogonal(g_k, Ad_k) -> float:
     """Stepsize ``-(g_k . g_k) / (g_k . A d_k)`` making the next gradient
     orthogonal to the current one.
 
@@ -441,7 +441,7 @@ def stepsize_orthogonal(g_k, Ad_k, *, eps_den: float = EPS_DENOMINATOR) -> float
     negative for g_k != 0.
     """
     den = dot(g_k, Ad_k)
-    if abs(den) <= eps_den:
+    if abs(den) <= EPS_DENOMINATOR:
         raise BreakdownError(
             f"orthogonality-stepsize denominator g.Ad = {den:.3e} is "
             "numerically zero", rule="orthogonal")

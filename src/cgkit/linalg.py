@@ -50,6 +50,13 @@ BAND_BUDGET = 2**27
 SYMMETRY_RTOL = 1e-12
 
 
+def _check_nonnegative(value, name: str) -> None:
+    """Refuse a negative or NaN ``value`` (None passes) with
+    :class:`ProblemSpecError`."""
+    if value is not None and not value >= 0.0:
+        raise ProblemSpecError(f"{name} must be nonnegative, got {value!r}")
+
+
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float64 array with finite entries."""
     v = np.asarray(x, dtype=np.float64)
@@ -431,6 +438,7 @@ def generate_spd(n: int, spec: SpectrumSpec, seed: int) -> MatrixSPD:
     """
     if n < 1:
         raise ProblemSpecError("n must be at least 1")
+    _check_nonnegative(seed, "seed")  # NumPy's generators take no other seed
     rng = np.random.default_rng(seed)
     lams = spec.materialize(n, rng)
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]  # R is freed at once

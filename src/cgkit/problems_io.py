@@ -24,8 +24,8 @@ from scipy.sparse import csr_array
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
                      ProblemSpecError)
-from .linalg import (MatrixSPD, SpectrumSpec, as_vector, generate_spd,
-                     spd_validate)
+from .linalg import (MatrixSPD, SpectrumSpec, _check_nonnegative, as_vector,
+                     generate_spd, spd_validate)
 from .verify import CheckResult, VerificationReport
 
 __all__ = [
@@ -88,6 +88,8 @@ class BuiltinProblemSpec:
                 f"unknown family {self.family!r}; expected one of {BUILTIN_FAMILIES}")
         if self.n < 1:
             raise ProblemSpecError("n must be at least 1")
+        for name in ("seed", "b_seed"):
+            _check_nonnegative(getattr(self, name), name)
         if self.family == "hilbert" and self.n > HILBERT_MAX_ORDER:
             raise ProblemSpecError(
                 f"hilbert problems are restricted to n <= {HILBERT_MAX_ORDER}")
@@ -187,11 +189,14 @@ def _linear_term(a: MatrixSPD, b_mode: str, b_seed: int,
                  known_solution) -> np.ndarray:
     """The linear term ``b`` that ``b_mode`` of :class:`BuiltinProblemSpec`
     names for ``a``: ones, a standard-normal draw seeded by ``b_seed``, or
-    ``-A x*`` for ``x* = known_solution``."""
+    ``-A x*`` for ``x* = known_solution``.  A product that overflows is
+    returned as it is, for :class:`~cgkit.cg.QuadraticProblem` to refuse."""
     if b_mode == "random":
+        _check_nonnegative(b_seed, "b_seed")
         return np.random.default_rng(b_seed).standard_normal(a.n)
     if b_mode == "from_known_solution":
-        return -a.matvec(np.asarray(known_solution, dtype=np.float64))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -a.matvec(np.asarray(known_solution, dtype=np.float64))
     return np.ones(a.n)
 
 
@@ -506,10 +511,14 @@ def read_vector_file(source) -> np.ndarray:
     """Read a one-number-per-line vector file ('#'/'%' lines are comments).
 
     An entry is a number in the syntax :func:`read_matrix_market` accepts.
-    The stripped lines are checked in one pass by ``_check_entries`` and
-    the entries then read by Python's ``float``.  The first line outside
-    that syntax raises :class:`MatrixMarketError` with its line number, in
-    ``float``'s words where ``float`` refuses it too."""
+    The stripped lines are checked in one pass by ``_check_entries``.  The
+    first line outside that syntax raises :class:`MatrixMarketError` with
+    its line number, in ``float``'s words where ``float`` refuses it too.
+    ``scipy.io.mmread`` then reads the entries as an n x 1 ``array`` file,
+    to the bits ``float`` gives: it drops the sign of a zero, which is put
+    back here.  SciPy is never handed a size line ``0 1``, which kills the
+    process with SIGFPE, nor a lone CR, which segfaults it and which no
+    checked entry holds."""
     with _open_text(source, "r") as stream:
         lines = ["" if text.startswith(("#", "%")) else text
                  for text in map(str.strip, stream)]
@@ -526,7 +535,15 @@ def read_vector_file(source) -> np.ndarray:
         except ValueError as refused:
             raise MatrixMarketError(f"bad vector entry: {refused}", line=err.line) from None
         raise
-    return np.fromiter(map(float, entries), dtype=np.float64, count=len(entries))
+    if not entries:
+        return np.empty(0)
+    import scipy.io  # costly import, needed only here
+
+    head = f"%%MatrixMarket matrix array real general\n{len(entries)} 1\n"
+    values = scipy.io.mmread(io.BytesIO((head + "\n".join(entries) + "\n").encode())).ravel()
+    zeros = np.flatnonzero(values == 0.0).tolist()
+    values[[k for k in zeros if entries[k][0] == "-"]] = -0.0
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +670,7 @@ def _json_indented(obj) -> str:
     container whose members are all scalars (str, int, float, bool, None
     or subclasses of them) is written by one call of the C encoder, whose
     item separator carries the newline and the indent of its depth; other
-    containers are opened and closed here, each run of consecutive scalar
-    members is written by one such call and each container member the
+    containers are opened and closed here and each member is written the
     same way.  A dict with a key other than a str, holding a container,
     goes to ``json.dumps`` with the whole document."""
     if c_make_encoder is None:
@@ -694,25 +710,13 @@ def _json_indented(obj) -> str:
         path.add(id(value))
         parts.append(opening + inner)
         is_dict = opening == "{"
-        run: dict | list = {} if is_dict else []  # consecutive scalar members
         sep = ""
         for key, member in value.items() if is_dict else enumerate(value):
             if is_dict and not isinstance(key, str):
                 raise _KeyNotStr
-            if isinstance(member, _SCALARS):
-                if is_dict:
-                    run[key] = member
-                else:
-                    run.append(member)
-                continue
-            if run:
-                parts.append(sep + encode(run, depth + 1)[1:-1])
-                sep, run = "," + inner, {} if is_dict else []
             parts.append((sep + encode_basestring_ascii(key) + ": ") if is_dict else sep)
             write(member, depth + 1)
             sep = "," + inner
-        if run:
-            parts.append(sep + encode(run, depth + 1)[1:-1])
         parts.append(outer + closing)
         path.discard(id(value))
 

@@ -32,7 +32,8 @@ g_0, AD and the recorded stepsizes and couplings (the iterates are needed
 only in explicit gradient mode, at one matvec per step).  Each pairwise
 family is one K x K Gram product (D ADᵀ, G Dᵀ, G Gᵀ and G (AG)ᵀ, with AG
 one block product by A), and the per-iteration families are row-wise dot
-products.
+products.  The row products that scale them all, g_k.g_k, g_k.d_k and
+d_k.A d_k, are formed once per report and shared by every family.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .cg import (
     stepsize_exact,
     stepsize_orthogonal,
 )
-from .errors import BreakdownError, IncompleteTraceError, ProblemSpecError
-from .linalg import DENSIFY_CAP, MatrixSPD
+from .errors import BreakdownError, IncompleteTraceError
+from .linalg import DENSIFY_CAP, MatrixSPD, _check_nonnegative
 
 __all__ = [
     "IdentityResidual",
@@ -301,18 +302,19 @@ def _report(checks, relaxed: bool = False, cond: float | None = None,
 class _Stacked(NamedTuple):
     """Record vectors as rows: ``G[k] = g_k``, ``D[k] = d_k``, ``AD[k] = A d_k``;
     the recorded scalars ``alpha[k]`` and ``beta[k]`` (NaN where unrecorded,
-    as at k = 0)."""
+    as at k = 0); and the row products ``gg[k] = g_k . g_k``,
+    ``gd[k] = g_k . d_k`` and ``dAd[k] = d_k . A d_k``, formed once for
+    all families (a row product of a row slice equals that slice of the
+    full product, bit for bit)."""
 
     G: np.ndarray
     D: np.ndarray
     AD: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-
-
-def _check_tolerance(value: float | None, name: str) -> None:
-    if value is not None and not value >= 0.0:
-        raise ProblemSpecError(f"{name} must be nonnegative, got {value!r}")
+    gg: np.ndarray
+    gd: np.ndarray
+    dAd: np.ndarray
 
 
 def _identity_report(trace: IterationTrace, tolerance: float | None, families,
@@ -320,18 +322,20 @@ def _identity_report(trace: IterationTrace, tolerance: float | None, families,
     """The one path of every identity check.
 
     Refuses a negative or NaN ``tolerance``, then a trace with no recorded
-    iteration; stacks the trace's columns once, resolves the tolerance by
-    ``_tolerance_schedule`` and reports ``families(stacked, tol)`` followed
-    by the ``tail`` checks, which need no recorded step.  With a ``tail``
-    an empty trace is not refused: the identity checks are skipped with a
-    note and the tail is reported alone.
+    iteration; stacks the trace's columns and forms their shared row
+    products once, resolves the tolerance by ``_tolerance_schedule`` and
+    reports ``families(stacked, tol)`` followed by the ``tail`` checks,
+    which need no recorded step.  With a ``tail`` an empty trace is not
+    refused: the identity checks are skipped with a note and the tail is
+    reported alone.
     """
-    _check_tolerance(tolerance, "check tolerance")
+    _check_nonnegative(tolerance, "check tolerance")
     if not trace.records:
         if not tail:
             raise IncompleteTraceError(f"{what} needs at least one recorded iteration")
         return _report(tail, notes=("no iterations recorded; identity checks skipped",))
-    stacked = _Stacked(*trace.columns("G", "D", "AD", "alpha", "beta"))
+    G, D, AD, *steps = trace.columns("G", "D", "AD", "alpha", "beta")
+    stacked = _Stacked(G, D, AD, *steps, _rowdot(G, G), _rowdot(G, D), _rowdot(D, AD))
     tol, relaxed, cond, notes = _tolerance_schedule(stacked, tolerance)
     return _report((*families(stacked, tol), *tail), relaxed, cond, notes)
 
@@ -340,18 +344,10 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", u, v)
 
 
-def _matmat_any(a, block: np.ndarray) -> np.ndarray:
-    if isinstance(a, MatrixSPD):
-        return a.matmat(block)
-    return np.asarray(a, dtype=np.float64) @ block
-
-
 def _classical(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     K = len(s.G)
-    gg = _rowdot(s.G, s.G)
-    gnorm = np.sqrt(gg)
+    gnorm = np.sqrt(s.gg)
     dnorm = np.sqrt(_rowdot(s.D, s.D))
-    dAd = _rowdot(s.D, s.AD)
     i, j = np.tril_indices(K, -1)
     pairs = np.column_stack((i, j))
 
@@ -359,11 +355,11 @@ def _classical(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
         raw = gram[i, j]
         return _result(check, tol, raw, _normalized(raw, scale), pairs)
 
-    descent = _rowdot(s.G, s.D) + gg
+    descent = s.gd + s.gg
     with np.errstate(invalid="ignore"):  # d.Ad < 0 (not SPD) gives a NaN residual
-        conjugacy_scale = np.sqrt(dAd[i] * dAd[j])
+        conjugacy_scale = np.sqrt(s.dAd[i] * s.dAd[j])
     return (
-        _result("descent", tol, descent, _normalized(descent, gg),
+        _result("descent", tol, descent, _normalized(descent, s.gg),
                 np.arange(K)[:, None]),
         pairwise("direction_conjugacy", s.D @ s.AD.T, conjugacy_scale),
         pairwise("gradient_direction_orthogonality", s.G @ s.D.T, gnorm[i] * dnorm[j]),
@@ -371,15 +367,15 @@ def _classical(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     )
 
 
-def _gradient_conjugacy(s: _Stacked, a, tol: float) -> tuple[CheckResult, ...]:
+def _gradient_conjugacy(s: _Stacked, a: MatrixSPD, tol: float) -> tuple[CheckResult, ...]:
     K = len(s.G)
-    AG = _matmat_any(a, s.G.T).T
+    AG = a.matmat(s.G.T).T
     anorm = np.sqrt(np.maximum(_rowdot(s.G, AG), 0.0))
     GAG = s.G @ AG.T  # GAG[p, i] = g_p . A g_i
     note = "single recorded iteration: no gradient pairs to check" if K == 1 else ""
     k = np.arange(K - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        adjacent = GAG[k + 1, k] + _rowdot(s.G[1:], s.G[1:]) / s.alpha[:-1]
+        adjacent = GAG[k + 1, k] + s.gg[1:] / s.alpha[:-1]
     p, q = np.tril_indices(K, -2)
     far = GAG[p, q]
     return (
@@ -393,12 +389,11 @@ def _gradient_conjugacy(s: _Stacked, a, tol: float) -> tuple[CheckResult, ...]:
 
 
 def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
-    dAd = _rowdot(s.D, s.AD)
     gAd = _rowdot(s.G, s.AD)
-    broken = (dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
+    broken = (s.dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_exact = -_rowdot(s.G, s.D) / dAd
-        raw = a_exact - (-_rowdot(s.G, s.G) / gAd)
+        a_exact = -s.gd / s.dAd
+        raw = a_exact - (-s.gg / gAd)
         normalized = _normalized(raw, np.abs(a_exact))
     raw[broken] = normalized[broken] = math.inf
     notes = []
@@ -416,9 +411,9 @@ def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
 def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     K = len(s.G)
     note = "single recorded iteration: no coupling step to compare" if K == 1 else ""
-    g, g_prev, d_prev = s.G[1:], s.G[:-1], s.D[:-1]
-    y = g - g_prev
-    gg, pp = _rowdot(g, g), _rowdot(g_prev, g_prev)
+    g, d_prev = s.G[1:], s.D[:-1]
+    y = g - s.G[:-1]
+    gg, pp = s.gg[1:], s.gg[:-1]
     gy, dy = _rowdot(g, y), _rowdot(d_prev, y)
     broken = (pp <= EPS_DENOMINATOR) | (np.abs(dy) <= EPS_DENOMINATOR)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -466,8 +461,10 @@ def check_gradient_conjugacy(trace: IterationTrace, a,
     all farther pairs (i <= k-1) satisfy ``g_{k+1} . A g_i = 0``.  Residuals
     are normalized by the A-norm product of the participating gradients.
     The products ``A g_k`` of all recorded gradients are one block product.
+    A raw array ``a`` is validated by :meth:`MatrixSPD.from_dense` first.
     """
-    return _identity_report(trace, tolerance, lambda s, tol: _gradient_conjugacy(s, a, tol),
+    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    return _identity_report(trace, tolerance, lambda s, tol: _gradient_conjugacy(s, m, tol),
                             "gradient-conjugacy check")
 
 
@@ -496,7 +493,7 @@ def check_finite_termination(trace: IterationTrace, problem: QuadraticProblem,
     iteration.  A negative or NaN ``tolerance_x`` raises
     :class:`~cgkit.errors.ProblemSpecError`.
     """
-    _check_tolerance(tolerance_x, "solution tolerance")
+    _check_nonnegative(tolerance_x, "solution tolerance")
     n = problem.n
     within = (trace.terminated_at <= n
               and trace.termination_reason == TerminationReason.GRADIENT_BELOW_TOLERANCE)

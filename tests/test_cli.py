@@ -144,6 +144,27 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,name", [
+        (("--builtin", "random_spd", "--n", "5", "--seed", "-1"), "seed"),
+        (("--builtin", "random_spd", "--n", "5", "--b", "random", "--b-seed", "-1"), "b_seed"),
+        (("--matrix", "one.mtx", "--b", "random", "--b-seed", "-1"), "b_seed")],
+        ids=["seed", "b-seed", "matrix-b-seed"])
+    def test_negative_seed_is_an_error(self, tmp_path, monkeypatch, capsys, flags, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 2\n")
+        code = run_cli("verify", *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {name} must be nonnegative, got -1\n"
+
+    def test_overflowing_known_solution_is_an_error(self, capsys):
+        # -A x* overflows; the error comes with no NumPy warning first
+        code = run_cli("verify", "--builtin", "random_spd", "--n", "2",
+                       "--known-solution", "1e308,1e308")
+        assert code == 1
+        assert capsys.readouterr().err == "error: b contains non-finite entries\n"
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("solve", "--builtin", "hilbert", "--n", "2", "--frobnicate")

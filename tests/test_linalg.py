@@ -277,6 +277,11 @@ class TestSpectrumSpec:
 
 
 class TestGenerateSpd:
+    def test_negative_seed_is_refused(self):
+        # NumPy's generators would refuse it with a ValueError
+        with pytest.raises(ProblemSpecError, match="seed must be nonnegative, got -1"):
+            generate_spd(3, SpectrumSpec(eigenvalues=(1.0, 2.0, 3.0)), seed=-1)
+
     def test_one_by_one_is_forced(self):
         m = generate_spd(1, SpectrumSpec(eigenvalues=(3.0,)), seed=9)
         np.testing.assert_array_equal(m.to_dense(), [[3.0]])

@@ -90,6 +90,23 @@ class TestBuiltinProblems:
         with pytest.raises(ProblemSpecError):
             BuiltinProblemSpec(family="toeplitz", n=4)
 
+    @pytest.mark.parametrize("field", ["seed", "b_seed"])
+    def test_negative_seed_is_refused(self, field):
+        with pytest.raises(ProblemSpecError, match=f"^{field} must be nonnegative, got -1$"):
+            BuiltinProblemSpec(family="random_spd", n=5,
+                               spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0),
+                               b_mode="random", **{field: -1})
+
+    @pytest.mark.parametrize("family,kw", [
+        ("random_spd", dict(spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0))),
+        ("diagonal", dict(eigenvalues=(2.0, 3.0)))])
+    def test_overflowing_known_solution_is_a_typed_error(self, family, kw):
+        # -A x* overflows: QuadraticProblem refuses b, with no NumPy warning first
+        spec = BuiltinProblemSpec(family=family, n=2, b_mode="from_known_solution",
+                                  known_solution=(1e308, 1e308), **kw)
+        with pytest.raises(CgKitError, match="b contains non-finite entries"):
+            builtin_problem(spec)
+
     @pytest.mark.parametrize("source", [
         "laplacian1d n=1", "laplacian1d n=1000", "diagonal n=1", "diagonal n=4000",
         "coordinate symmetric", "coordinate general"])
@@ -402,6 +419,17 @@ class TestVectorFiles:
     def test_comments_skipped(self):
         got = read_vector_file(io.StringIO("# header\n1.5\n% note\n-2.0\n"))
         np.testing.assert_array_equal(got, [1.5, -2.0])
+
+    @pytest.mark.parametrize("text", ["", "\n", "# only a comment\r\n\r\n% and another\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_no_entries_read_as_an_empty_vector(self, text):
+        got = read_vector_file(io.StringIO(text))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_zeros_keep_their_sign(self):
+        got = read_vector_file(io.StringIO("-0\n0\n-0.0e5\n-1e-400\n.0\n-.0\n"))
+        np.testing.assert_array_equal(got, 0.0)
+        assert np.signbit(got).tolist() == [True, False, True, True, False, True]
 
     def test_bad_entry_reports_line(self):
         with pytest.raises(MatrixMarketError) as info:

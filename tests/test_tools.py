@@ -1,12 +1,17 @@
 """The repository's tools: ``tools/gate.py`` reads a commit's files with
 ``git archive``, writes nothing under ``.git`` and names the JSON members
-at which two outputs differ."""
+at which two outputs differ; its vector file reads as ``float`` reads each
+entry."""
 
 import importlib.util
+import io
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cgkit.problems_io import read_vector_file
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +36,14 @@ def test_gate_extracts_the_ref_and_leaves_git_unchanged(tmp_path):
     gate.extract("HEAD", tmp_path)
     assert (tmp_path / "src" / "cgkit" / "__init__.py").is_file()
     assert _git_state() == before
+
+
+def test_gate_vector_file_reads_as_floats_of_its_entries():
+    text = _load_tool("gate").grid_b_txt()
+    entries = [line for line in text.split("\r\n") if line and line[0] not in "#%"]
+    got = read_vector_file(io.BytesIO(text.encode()))
+    assert "\r\n\r\n" in text and len(entries) == 12
+    assert got.tobytes() == np.array([float(e) for e in entries]).tobytes()
 
 
 def test_gate_names_the_json_members_that_differ():

@@ -15,6 +15,7 @@ from cgkit import (
     QuadraticProblem,
     SolverConfig,
     SpectrumSpec,
+    SymmetryError,
     TerminationReason,
     check_beta_agreement,
     check_classical_identities,
@@ -109,6 +110,23 @@ class TestGradientConjugacy:
         _, trace = solve(worked_problem, config=SolverConfig(record_trace=False))
         with pytest.raises(IncompleteTraceError):
             check_gradient_conjugacy(trace, worked_problem.A)
+
+    def test_raw_array_gives_the_report_of_its_matrix(self):
+        problem = builtin_problem(BuiltinProblemSpec(
+            family="random_spd", n=60, spectrum=SpectrumSpec(lam_min=1.0, lam_max=1e3),
+            seed=4, b_mode="random", b_seed=2))
+        _, trace = solve(problem)
+        want = check_gradient_conjugacy(trace, problem.A)
+        got = check_gradient_conjugacy(trace, problem.A.to_dense())
+        assert got == want
+        for mine, theirs in zip(got.checks, want.checks):
+            assert mine.count == theirs.count > 0
+            for name in ("normalized", "raw", "indices", "passes"):
+                assert getattr(mine, name).tobytes() == getattr(theirs, name).tobytes()
+
+    def test_asymmetric_raw_array_refused(self, worked_trace):
+        with pytest.raises(SymmetryError):
+            check_gradient_conjugacy(worked_trace, [[2.0, 0.5], [0.0, 1.0]])
 
 
 class TestStepsizeEquivalence:

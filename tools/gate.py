@@ -10,8 +10,9 @@ under each tree's ``src`` (``python -m cgkit ... --output FILE
 the same text.  The output files, standard output, standard error and exit
 codes are compared byte for byte; where the output files differ and both
 parse as JSON, the first paths at which they differ are printed too.
-Each directory first gets ``A.mtx`` (``grid_general_mtx``) and ``P.mtx``
-(``shuffled_path_mtx``), the files that the ``--matrix`` commands read.
+Each directory first gets ``A.mtx`` (``grid_general_mtx``), ``P.mtx``
+(``shuffled_path_mtx``) and ``b.txt`` (``grid_b_txt``), the files that the
+``--matrix`` and ``--b-file`` commands read.
 Exit status: 0 when every command agrees, 1 otherwise.
 """
 
@@ -59,6 +60,10 @@ COMMANDS = (
     # recovers its band, and the minimizer comes back through the ordering
     ("verify-matrix-shuffled-path", ["verify", "--matrix", "P.mtx", "--b", "random"],
      "out.json"),
+    # a vector file of A.mtx's order with comments, a blank line, CRLF line
+    # ends and entries in each form the reader takes
+    ("solve-matrix-bfile", ["solve", "--matrix", "A.mtx", "--b-file", "b.txt",
+                            "--include-vectors"], "out.json"),
     # a dense trace of K = 128 steps, which ends on a replay block edge: at
     # n = 300 a block holds 64 rows
     ("verify-random-n300-edge", ["verify", "--builtin", "random_spd", "--n", "300",
@@ -83,6 +88,15 @@ def grid_general_mtx() -> str:
                 lines += [f"{j + 1} {i + 1} -1", f"{i + 1} {j + 1} -1.0000000000001"]
     return "\n".join(["%%MatrixMarket matrix coordinate real general",
                       f"{n} {n} {len(lines)}", *lines, ""])
+
+
+def grid_b_txt() -> str:
+    """A vector file of the 12 entries of a ``b`` for ``grid_general_mtx``:
+    '#' and '%' comment lines, a blank line and CRLF line ends, with a
+    negative zero, a subnormal, and a leading or trailing point."""
+    lines = ["# b for A.mtx", "1", "-0", ".5", "5.", "% MatrixMarket-style comment",
+             "1e-320", "-2.5E+3", "0.125", "-3", "2.5e2", "", "7", "-1.5e-3", "1e-1"]
+    return "\r\n".join([*lines, ""])
 
 
 def shuffled_path_mtx() -> str:
@@ -113,6 +127,7 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
         cwd.mkdir(parents=True)
         (cwd / "A.mtx").write_text(grid_general_mtx())
         (cwd / "P.mtx").write_text(shuffled_path_mtx())
+        (cwd / "b.txt").write_bytes(grid_b_txt().encode())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args, "--output", output, "--no-timestamp"],
             cwd=cwd, capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))

@@ -88,8 +88,6 @@ class BuiltinProblemSpec:
                 f"unknown family {self.family!r}; expected one of {BUILTIN_FAMILIES}")
         if self.n < 1:
             raise ProblemSpecError("n must be at least 1")
-        for name in ("seed", "b_seed"):
-            _check_nonnegative(getattr(self, name), name)
         if self.family == "hilbert" and self.n > HILBERT_MAX_ORDER:
             raise ProblemSpecError(
                 f"hilbert problems are restricted to n <= {HILBERT_MAX_ORDER}")
@@ -511,14 +509,10 @@ def read_vector_file(source) -> np.ndarray:
     """Read a one-number-per-line vector file ('#'/'%' lines are comments).
 
     An entry is a number in the syntax :func:`read_matrix_market` accepts.
-    The stripped lines are checked in one pass by ``_check_entries``.  The
-    first line outside that syntax raises :class:`MatrixMarketError` with
-    its line number, in ``float``'s words where ``float`` refuses it too.
-    ``scipy.io.mmread`` then reads the entries as an n x 1 ``array`` file,
-    to the bits ``float`` gives: it drops the sign of a zero, which is put
-    back here.  SciPy is never handed a size line ``0 1``, which kills the
-    process with SIGFPE, nor a lone CR, which segfaults it and which no
-    checked entry holds."""
+    The stripped lines are checked in one pass by ``_check_entries`` and
+    the entries then read by Python's ``float``.  The first line outside
+    that syntax raises :class:`MatrixMarketError` with its line number, in
+    ``float``'s words where ``float`` refuses it too."""
     with _open_text(source, "r") as stream:
         lines = ["" if text.startswith(("#", "%")) else text
                  for text in map(str.strip, stream)]
@@ -535,15 +529,7 @@ def read_vector_file(source) -> np.ndarray:
         except ValueError as refused:
             raise MatrixMarketError(f"bad vector entry: {refused}", line=err.line) from None
         raise
-    if not entries:
-        return np.empty(0)
-    import scipy.io  # costly import, needed only here
-
-    head = f"%%MatrixMarket matrix array real general\n{len(entries)} 1\n"
-    values = scipy.io.mmread(io.BytesIO((head + "\n".join(entries) + "\n").encode())).ravel()
-    zeros = np.flatnonzero(values == 0.0).tolist()
-    values[[k for k in zeros if entries[k][0] == "-"]] = -0.0
-    return values
+    return np.fromiter(map(float, entries), dtype=np.float64, count=len(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,11 @@ class TestBuiltinProblems:
 
     @pytest.mark.parametrize("field", ["seed", "b_seed"])
     def test_negative_seed_is_refused(self, field):
+        spec = BuiltinProblemSpec(family="random_spd", n=5,
+                                  spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0),
+                                  b_mode="random", **{field: -1})
         with pytest.raises(ProblemSpecError, match=f"^{field} must be nonnegative, got -1$"):
-            BuiltinProblemSpec(family="random_spd", n=5,
-                               spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0),
-                               b_mode="random", **{field: -1})
+            builtin_problem(spec)
 
     @pytest.mark.parametrize("family,kw", [
         ("random_spd", dict(spectrum=SpectrumSpec(lam_min=1.0, lam_max=10.0))),

@@ -270,12 +270,14 @@ class IterationTrace:
         the rows of :meth:`_blocks`.
 
         ``"X"``, ``"G"``, ``"D"`` and ``"AD"`` name the read-only vectors
-        ``x_k``, ``g_k``, ``d_k`` and ``A d_k``; ``"alpha"`` and ``"beta"``
-        the scalars, ``beta`` NaN where none was recorded (k = 0).  A
-        traced solve's vectors are read-only row views of its replay
-        blocks, so a caller that keeps no step's vectors holds a few
-        blocks at a time, not K vectors.  A record lacking a named vector
-        or its stepsize raises :class:`~cgkit.errors.IncompleteTraceError`.
+        ``x_k``, ``g_k``, ``d_k`` and ``A d_k``; ``"alpha"``, ``"beta"``
+        and ``"gg"`` the scalars, ``beta`` NaN where none was recorded
+        (k = 0) and ``gg`` the solver's ``g_k . g_k`` (for a trace built by
+        hand, computed from the record's gradient).  A traced solve's
+        vectors are read-only row views of its replay blocks, so a caller
+        that keeps no step's vectors holds a few blocks at a time, not K
+        vectors.  A record lacking a named vector or its stepsize raises
+        :class:`~cgkit.errors.IncompleteTraceError`.
         """
         if not names:
             return itertools.repeat((), len(self.records))
@@ -283,8 +285,9 @@ class IterationTrace:
 
     def columns(self, *names: str) -> tuple[np.ndarray, ...]:
         """Fresh arrays, one per name, stacking :meth:`steps`: a vector name
-        gives a (K, n) array of rows, a scalar name a length-K array.  A
-        traced solve replays X, G and D straight into their rows."""
+        gives a (K, n) array of rows, a scalar name (``"alpha"``, ``"beta"``
+        or ``"gg"``) a length-K array.  A traced solve replays X, G and D
+        straight into their rows."""
         if not names:
             return ()
         K, n = len(self.records), self.final_x.size

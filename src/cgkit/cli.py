@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .cg import QuadraticProblem, SolverConfig, TerminationReason, solve
 from .errors import CgKitError, IncompleteTraceError
@@ -166,10 +165,15 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     return builtin_problem(spec), spec.describe()
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(stepsize_rule=args.stepsize, beta_rule=args.beta,
-                        gradient_update=args.grad_update,
-                        grad_tolerance=args.tol, max_iterations=args.max_iters)
+def _run(args, record_trace: bool = True):
+    """The problem, its description, the solver configuration and the
+    trace of the solve that ``args`` ask for."""
+    problem, description = _build_problem(args)
+    config = SolverConfig(stepsize_rule=args.stepsize, beta_rule=args.beta,
+                          gradient_update=args.grad_update, grad_tolerance=args.tol,
+                          max_iterations=args.max_iters, record_trace=record_trace)
+    _, trace = solve(problem, config=config)
+    return problem, description, config, trace
 
 
 def _solve_exit_code(reason: TerminationReason) -> int:
@@ -190,25 +194,21 @@ def _write_document(args, problem, config, trace, description, report=None) -> N
 
 
 def _cmd_solve(args) -> int:
-    problem, description = _build_problem(args)
     # the printed summary needs no trace: only a trace file records one
-    config = replace(_solver_config(args), record_trace=bool(args.output))
-    x, trace = solve(problem, config=config)
+    problem, description, config, trace = _run(args, record_trace=bool(args.output))
     if args.output:
         _write_document(args, problem, config, trace, description)
     print(f"iterations: {trace.terminated_at}")
     print(f"termination: {trace.termination_reason.value}")
     print(f"final ||g||: {trace.final_grad_norm():.6e}")
-    print(f"f(x): {problem.objective(x):.17g}")
+    print(f"f(x): {problem.objective(trace.final_x):.17g}")
     if trace.breakdown:
         print(f"breakdown: {trace.breakdown}", file=sys.stderr)
     return _solve_exit_code(trace.termination_reason)
 
 
 def _cmd_verify(args) -> int:
-    problem, description = _build_problem(args)
-    config = _solver_config(args)
-    x, trace = solve(problem, config=config)
+    problem, description, config, trace = _run(args)
     report = run_all_checks(trace, problem, tolerance=args.check_tol)
     if args.output:
         _write_document(args, problem, config, trace, description, report)
@@ -219,9 +219,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem, _ = _build_problem(args)
-    config = _solver_config(args)
-    _, trace = solve(problem, config=config)
+    trace = _run(args)[3]
     try:  # the tolerance is checked first, with or without iterations
         report = check_stepsize_equivalence(trace, tolerance=args.tolerance)
     except IncompleteTraceError:

@@ -120,6 +120,7 @@ class MatrixSPD:
             raise CgKitError("matrix contains non-finite entries")
         try:  # a copy: canonicalizing sorts in place, and the result is frozen
             m = _sparse.csr_array((data, indices, indptr), shape=(n, n), copy=True)
+            m.check_format(full_check=True)  # the constructor's check skips index bounds
         except (ValueError, IndexError) as err:
             raise DimensionError(f"invalid CSR structure: {err}") from err
         m.sum_duplicates()
@@ -417,10 +418,7 @@ class SpectrumSpec:
             lams = lams * (1.0 + self._CLUSTER_JITTER * rng.uniform(-1.0, 1.0, n))
             lams = np.clip(lams, lo, hi)
         lams = np.sort(lams)
-        if n >= 2:
-            lams[0], lams[-1] = lo, hi
-        else:
-            lams[0] = lo
+        lams[-1], lams[0] = hi, lo  # in this order, so that n = 1 gives lo
         return lams
 
 

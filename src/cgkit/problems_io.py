@@ -12,7 +12,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -98,8 +98,8 @@ class BuiltinProblemSpec:
             if len(vals) != self.n:
                 raise ProblemSpecError(
                     f"diagonal problem of order {self.n} got {len(vals)} eigenvalues")
-            if any(v <= 0.0 for v in vals):
-                raise ProblemSpecError("diagonal entries must be strictly positive")
+            if not all(0.0 < v < math.inf for v in vals):
+                raise ProblemSpecError("diagonal entries must be finite and strictly positive")
             object.__setattr__(self, "eigenvalues", vals)
         if self.family == "random_spd" and self.spectrum is None:
             raise ProblemSpecError("random_spd problems need a SpectrumSpec")
@@ -112,6 +112,8 @@ class BuiltinProblemSpec:
             sol = tuple(float(v) for v in self.known_solution)
             if len(sol) != self.n:
                 raise ProblemSpecError("known_solution length must equal n")
+            if not all(map(math.isfinite, sol)):
+                raise ProblemSpecError("known_solution entries must be finite")
             object.__setattr__(self, "known_solution", sol)
 
     def describe(self) -> dict[str, Any]:
@@ -120,12 +122,7 @@ class BuiltinProblemSpec:
         if self.eigenvalues is not None:
             out["eigenvalues"] = list(self.eigenvalues)
         if self.spectrum is not None:
-            s = self.spectrum
-            out["spectrum"] = {
-                "eigenvalues": list(s.eigenvalues) if s.eigenvalues else None,
-                "lam_min": s.lam_min, "lam_max": s.lam_max,
-                "distribution": s.distribution, "clusters": s.clusters,
-            }
+            out["spectrum"] = asdict(self.spectrum)
             out["seed"] = self.seed
         out["b_mode"] = self.b_mode
         if self.b_mode == "random":
@@ -579,27 +576,20 @@ class TraceDocument:
             metadata["created"] = datetime.now(timezone.utc).isoformat()
         iterations = []
         vectors = [] if include_vectors else None
-        # a block of steps at a time: a traced solve replays each block's
-        # vectors as it is reached, and none is kept past its rows
-        k = 0
-        names = ("alpha", "beta", "gg", "X", "G", "D")
-        for alphas, betas, ggs, X, G, D in trace._blocks(names):
-            # f(x) = x.(g + b) / 2 since g = A x + b: the trace's gradient
-            # saves a matvec per record
-            for alpha, beta, gg, x, g_plus_b in zip(alphas, betas, ggs, X,
-                                                    np.add(G, problem.b)):
-                iterations.append({
-                    "k": k,
-                    "alpha": float(alpha),
-                    "beta": None if k == 0 else float(beta),
-                    # sqrt(g . g) is np.linalg.norm(g) to the bit
-                    "grad_norm": math.sqrt(gg),
-                    "objective": 0.5 * float(np.dot(x, g_plus_b)),
-                })
-                k += 1
+        for k, (alpha, beta, gg, x, g, d) in enumerate(
+                trace.steps("alpha", "beta", "gg", "X", "G", "D")):
+            iterations.append({
+                "k": k,
+                "alpha": float(alpha),
+                "beta": None if k == 0 else float(beta),
+                # sqrt(g . g) is np.linalg.norm(g) to the bit
+                "grad_norm": math.sqrt(gg),
+                # f(x) = x.(g + b) / 2 since g = A x + b: the trace's
+                # gradient saves a matvec per record
+                "objective": 0.5 * float(np.dot(x, g + problem.b)),
+            })
             if include_vectors:
-                vectors.extend({"k": j, "x": x, "g": g, "d": d} for j, x, g, d in zip(
-                    range(k - len(X), k), X.tolist(), G.tolist(), D.tolist()))
+                vectors.append({"k": k, "x": x.tolist(), "g": g.tolist(), "d": d.tolist()})
         final = {
             "iterations": trace.terminated_at,
             "termination_reason": trace.termination_reason.value,

@@ -388,6 +388,25 @@ def _gradient_conjugacy(s: _Stacked, a: MatrixSPD, tol: float) -> tuple[CheckRes
     )
 
 
+def _with_breakdowns(check: str, tol: float, raw: np.ndarray, normalized: np.ndarray,
+                     broken: np.ndarray, steps: np.ndarray, formulas,
+                     note: str = "") -> CheckResult:
+    """:func:`_result` of a family with one instance per step ``steps[i]``,
+    its ``broken`` instances marked infinite.  At each broken step ``k``,
+    each function of ``formulas`` calls the scalar formulas on step k's
+    vectors, and the breakdown it raises is noted, worded as the solver
+    reports it."""
+    raw[broken] = normalized[broken] = math.inf
+    notes = [note] if note else []
+    for k in steps[broken].tolist():
+        for formula in formulas:
+            try:
+                formula(k)
+            except BreakdownError as err:
+                notes.append(f"iteration {k}: {err}")
+    return _result(check, tol, raw, normalized, steps[:, None], note="; ".join(notes))
+
+
 def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     gAd = _rowdot(s.G, s.AD)
     broken = (s.dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
@@ -395,17 +414,11 @@ def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
         a_exact = -s.gd / s.dAd
         raw = a_exact - (-s.gg / gAd)
         normalized = _normalized(raw, np.abs(a_exact))
-    raw[broken] = normalized[broken] = math.inf
-    notes = []
-    for k in np.flatnonzero(broken).tolist():
-        # the scalar formulas word the breakdown, as the solver reports it
-        try:
-            stepsize_exact(s.G[k], s.D[k], s.AD[k])
-            stepsize_orthogonal(s.G[k], s.AD[k])
-        except BreakdownError as err:
-            notes.append(f"iteration {k}: {err}")
-    return (_result("stepsize_equivalence", tol, raw, normalized,
-                    np.arange(len(s.G))[:, None], note="; ".join(notes)),)
+    # one function for both formulas: a step notes its first breakdown only
+    formulas = (lambda k: (stepsize_exact(s.G[k], s.D[k], s.AD[k]),
+                           stepsize_orthogonal(s.G[k], s.AD[k])),)
+    return (_with_breakdowns("stepsize_equivalence", tol, raw, normalized, broken,
+                             np.arange(len(s.G)), formulas),)
 
 
 def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
@@ -421,18 +434,10 @@ def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
         peak = np.abs(values).max(axis=0)
         raw = values.max(axis=0) - values.min(axis=0)
         normalized = np.where(peak > 0.0, raw / peak, 0.0)
-    raw[broken] = normalized[broken] = math.inf
-    notes = []
-    for k in (np.flatnonzero(broken) + 1).tolist():
-        for rule in _BETA_RULES:
-            try:
-                beta(rule, s.G[k], s.G[k - 1], s.D[k - 1])
-            except BreakdownError as err:
-                notes.append(f"iteration {k}: {err}")
-    if notes:
-        note = (note + "; " if note else "") + "; ".join(notes)
-    return (_result("beta_agreement", tol, raw, normalized,
-                    np.arange(1, K)[:, None], note=note),)
+    formulas = [lambda k, rule=rule: beta(rule, s.G[k], s.G[k - 1], s.D[k - 1])
+                for rule in _BETA_RULES]
+    return (_with_breakdowns("beta_agreement", tol, raw, normalized, broken,
+                             np.arange(1, K), formulas, note),)
 
 
 def check_classical_identities(trace: IterationTrace, a,

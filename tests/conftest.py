@@ -24,3 +24,14 @@ def make_spd_problem(lams, seed: int) -> QuadraticProblem:
     a = generate_spd(n, SpectrumSpec(eigenvalues=tuple(lams)), seed)
     b = np.random.default_rng(seed + 1).standard_normal(n)
     return QuadraticProblem(a, b)
+
+
+def assert_refused(call, error: type, message: str) -> None:
+    """``call()`` raises an exception of exactly the type ``error`` whose
+    first argument is ``message``, or starts with it when ``message`` ends
+    in ``: `` (the rest is a library's wording)."""
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    text = caught.value.args[0]
+    assert text.startswith(message) if message.endswith(": ") else text == message

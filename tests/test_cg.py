@@ -14,6 +14,7 @@ from cgkit import (
     DimensionError,
     GradientUpdate,
     IterationRecord,
+    IterationTrace,
     MatrixSPD,
     QuadraticProblem,
     SolverConfig,
@@ -35,7 +36,7 @@ from cgkit import (
     stepsize_orthogonal,
 )
 import cgkit.cg as cg_module
-from conftest import make_spd_problem
+from conftest import assert_refused, make_spd_problem
 
 # Hand-worked trace of the 2x2 instance A=diag(2,1), b=(-2,-1), x_0=0:
 #   g_0=(-2,-1)  d_0=(2,1)    Ad_0=(4,1)        alpha_0=5/9
@@ -801,3 +802,23 @@ class TestOneReader:
             np.testing.assert_array_equal(g, rec.g)
             np.testing.assert_array_equal(g_again, rec.g)
             assert beta == beta_again or (rec.k == 0 and np.isnan(beta) and np.isnan(beta_again))
+
+
+def _trace_numbered(*ks):
+    records = tuple(IterationRecord(k=k, x=np.zeros(2), g=np.ones(2), d=-np.ones(2),
+                                    alpha=1.0, beta=None if k == 0 else 0.5, Ad=np.ones(2))
+                    for k in ks)
+    return IterationTrace(records, np.zeros(2), np.zeros(2), len(ks),
+                          TerminationReason.ITERATION_CAP, 0.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: direction([1.0, 2.0], d_prev=[1.0, 1.0]), ValueError,
+     "beta_k is required when d_prev is given"),
+    (lambda: direction([1.0, 2.0], 0.5, [1.0, 1.0, 1.0]), DimensionError,
+     "direction operands must share one length"),
+    (lambda: _trace_numbered(0, 2), ValueError,
+     "records[1] has k=2; indices must be contiguous"),
+], ids=["direction-without-beta", "direction-lengths", "trace-numbered-0-2"])
+def test_typed_refusals(call, error, message):
+    assert_refused(call, error, message)

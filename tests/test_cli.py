@@ -482,3 +482,32 @@ def test_builtin_without_its_size_is_an_error(tmp_path, capsys, command, source,
     code = run_cli(command, *source, *outputs)
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--builtin", "diagonal", "--eigs", "1,nan"),
+     "diagonal entries must be finite and strictly positive"),
+    (("--builtin", "diagonal", "--eigs", "1,inf"),
+     "diagonal entries must be finite and strictly positive"),
+    (("--builtin", "laplacian1d", "--n", "2", "--known-solution", "1,nan"),
+     "known_solution entries must be finite"),
+    (("--builtin", "diagonal", "--eigs", "1,2", "--known-solution=-inf,1"),
+     "known_solution entries must be finite"),
+], ids=["eigs-nan", "eigs-inf", "known-solution-nan", "known-solution-minus-inf"])
+def test_non_finite_builtin_numbers_are_an_error(capsys, flags, message):
+    code = run_cli("verify", *flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--builtin", "diagonal", "--eigs", "1,x"),
+     "--eigs expects comma-separated numbers: could not convert string to float: 'x'"),
+    (("--builtin", "laplacian1d", "--n", "2", "--known-solution", "a,b"),
+     "--known-solution expects comma-separated numbers: "
+     "could not convert string to float: 'a'"),
+], ids=["eigs", "known-solution"])
+def test_typed_refusals(capsys, flags, message):
+    code = run_cli("verify", *flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

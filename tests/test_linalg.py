@@ -31,6 +31,8 @@ from cgkit import (
     solve_direct,
     spd_validate,
 )
+from cgkit.linalg import as_vector
+from conftest import assert_refused
 
 
 class TestDot:
@@ -790,3 +792,41 @@ class TestMatmat:
         m = MatrixSPD.from_dense(np.eye(3))
         with pytest.raises(DimensionError):
             m.matmat(np.ones((2, 2)))
+
+
+_RANGE = SpectrumSpec(lam_min=1.0, lam_max=2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MatrixSPD(np.eye(2)), TypeError,
+     "use MatrixSPD.from_dense or MatrixSPD.from_csr"),
+    (lambda: MatrixSPD.from_dense(np.empty((0, 0))), DimensionError,
+     "matrix order must be at least 1"),
+    (lambda: MatrixSPD.from_csr([0], [], [], 0), DimensionError,
+     "matrix order must be at least 1"),
+    (lambda: MatrixSPD.from_csr([0, 1], [0], [np.nan], 1), CgKitError,
+     "matrix contains non-finite entries"),
+    (lambda: MatrixSPD.from_csr([0, 1], [1], [2.0], 1), DimensionError,
+     "invalid CSR structure: "),
+    (lambda: MatrixSPD.from_csr([0, 1, 2], [0, -1], [2.0, 2.0], 2), DimensionError,
+     "invalid CSR structure: "),
+    (lambda: MatrixSPD.from_dense(np.eye(2)).csr_arrays, CgKitError,
+     "matrix is not stored in CSR form"),
+    (lambda: as_vector(np.eye(2)), DimensionError, "vector must be 1-D, got shape (2, 2)"),
+    (lambda: dot(np.eye(2), np.ones(2)), DimensionError, "dot expects 1-D operands"),
+    (lambda: SpectrumSpec(eigenvalues=(1.0,), lam_min=1.0), ProblemSpecError,
+     "give either explicit eigenvalues or a range, not both"),
+    (lambda: SpectrumSpec(eigenvalues=()), ProblemSpecError, "eigenvalue list is empty"),
+    (lambda: SpectrumSpec(lam_min=1.0, lam_max=np.inf), ProblemSpecError,
+     "eigenvalue bounds must be finite"),
+    (lambda: SpectrumSpec(lam_min=1.0, lam_max=2.0, distribution="clustered", clusters=0),
+     ProblemSpecError, "clusters must be at least 1"),
+    (lambda: _RANGE.materialize(0, np.random.default_rng(0)), ProblemSpecError,
+     "n must be at least 1"),
+    (lambda: generate_spd(0, _RANGE, 0), ProblemSpecError, "n must be at least 1"),
+], ids=["constructor", "dense-order-0", "csr-order-0", "csr-non-finite",
+        "csr-index-past-n", "csr-negative-index", "csr-arrays-of-dense", "as-vector-2d",
+        "dot-2d", "spectrum-list-and-range", "spectrum-empty-list", "spectrum-infinite-bound",
+        "spectrum-no-clusters", "materialize-0", "generate-spd-0"])
+def test_typed_refusals(call, error, message):
+    assert_refused(call, error, message)

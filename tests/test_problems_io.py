@@ -37,6 +37,7 @@ from cgkit.problems_io import (
     write_vector_file,
 )
 from cgkit.verify import run_all_checks
+from conftest import assert_refused
 
 DIAG21_COORD = ("%%MatrixMarket matrix coordinate real symmetric\n"
                 "2 2 2\n"
@@ -147,6 +148,47 @@ class TestBuiltinProblems:
         problem = builtin_problem(spec)
         x, trace = solve(problem)
         assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(family="diagonal", eigenvalues=(1.0, math.nan)),
+         "diagonal entries must be finite and strictly positive"),
+        (dict(family="diagonal", eigenvalues=(1.0, math.inf)),
+         "diagonal entries must be finite and strictly positive"),
+        (dict(family="laplacian1d", b_mode="from_known_solution",
+              known_solution=(math.nan, 1.0)), "known_solution entries must be finite"),
+        (dict(family="laplacian1d", b_mode="from_known_solution",
+              known_solution=(1.0, -math.inf)), "known_solution entries must be finite"),
+    ], ids=["diagonal-nan", "diagonal-inf", "solution-nan", "solution-minus-inf"])
+    def test_non_finite_numbers_are_refused(self, kw, message):
+        assert_refused(lambda: BuiltinProblemSpec(n=2, **kw), ProblemSpecError, message)
+
+    @pytest.mark.parametrize("spec, text", [
+        (BuiltinProblemSpec(family="laplacian1d", n=4),
+         '{"family": "laplacian1d", "n": 4, "b_mode": "ones"}'),
+        (BuiltinProblemSpec(family="hilbert", n=3),
+         '{"family": "hilbert", "n": 3, "b_mode": "ones"}'),
+        (BuiltinProblemSpec(family="diagonal", n=3, eigenvalues=(1, 2.5, 4)),
+         '{"family": "diagonal", "n": 3, "eigenvalues": [1.0, 2.5, 4.0], "b_mode": "ones"}'),
+        (BuiltinProblemSpec(family="random_spd", n=6, seed=7,
+                            spectrum=SpectrumSpec(lam_min=1.0, lam_max=100.0)),
+         '{"family": "random_spd", "n": 6, "spectrum": {"eigenvalues": null, '
+         '"lam_min": 1.0, "lam_max": 100.0, "distribution": "loguniform", '
+         '"clusters": 2}, "seed": 7, "b_mode": "ones"}'),
+        (BuiltinProblemSpec(family="random_spd", n=3, spectrum=SpectrumSpec(
+            eigenvalues=(1, 2, 3), distribution="clustered", clusters=3)),
+         '{"family": "random_spd", "n": 3, "spectrum": {"eigenvalues": [1.0, 2.0, 3.0], '
+         '"lam_min": null, "lam_max": null, "distribution": "clustered", '
+         '"clusters": 3}, "seed": 0, "b_mode": "ones"}'),
+        (BuiltinProblemSpec(family="laplacian1d", n=5, b_mode="random", b_seed=5),
+         '{"family": "laplacian1d", "n": 5, "b_mode": "random", "b_seed": 5}'),
+        (BuiltinProblemSpec(family="diagonal", n=2, eigenvalues=(2.0, 1.0),
+                            b_mode="from_known_solution", known_solution=(1, -0.5)),
+         '{"family": "diagonal", "n": 2, "eigenvalues": [2.0, 1.0], '
+         '"b_mode": "from_known_solution", "known_solution": [1.0, -0.5]}'),
+    ], ids=["laplacian1d", "hilbert", "diagonal", "random-spd-range",
+            "random-spd-list-clusters", "b-random", "known-solution"])
+    def test_describe_is_pinned(self, spec, text):
+        assert json.dumps(spec.describe()) == text
 
 
 class TestMatrixMarketRead:
@@ -784,3 +826,40 @@ class TestIndentedJson:
                                        include_vectors=True, timestamp=False)
         data = json.loads(doc.to_json())
         assert doc.to_json() == json.dumps(data, indent=2)
+
+
+def _spec(**kw):
+    return lambda: BuiltinProblemSpec(**kw)
+
+
+def _read(text):
+    return lambda: read_matrix_market(io.StringIO(text))
+
+
+_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_spec(family="laplacian1d", n=0), ProblemSpecError, "n must be at least 1"),
+    (_spec(family="diagonal", n=3, eigenvalues=(1.0, 2.0)), ProblemSpecError,
+     "diagonal problem of order 3 got 2 eigenvalues"),
+    (_spec(family="diagonal", n=2, eigenvalues=(1.0, 0.0)), ProblemSpecError,
+     "diagonal entries must be finite and strictly positive"),
+    (_spec(family="random_spd", n=2), ProblemSpecError,
+     "random_spd problems need a SpectrumSpec"),
+    (_spec(family="laplacian1d", n=2, b_mode="zeros"), ProblemSpecError,
+     "unknown b_mode 'zeros'; expected one of ('ones', 'random', 'from_known_solution')"),
+    (_spec(family="laplacian1d", n=2, b_mode="from_known_solution"), ProblemSpecError,
+     "b_mode=from_known_solution needs known_solution"),
+    (_spec(family="laplacian1d", n=2, b_mode="from_known_solution", known_solution=(1.0,)),
+     ProblemSpecError, "known_solution length must equal n"),
+    (_read(""), MatrixMarketError, "line 1: empty input"),
+    (_read(_HEADER + "% comment\n\n"), MatrixMarketError, "line 3: missing size line"),
+    (_read(_HEADER + "2 2 -1\n"), MatrixMarketError, "line 2: negative entry count -1"),
+    (lambda: write_matrix_market(MatrixSPD.from_dense(np.eye(2)), io.StringIO(), fmt="csc"),
+     ValueError, "unknown MatrixMarket format 'csc'"),
+], ids=["spec-n-0", "diagonal-length", "diagonal-zero", "random-spd-no-spectrum",
+        "unknown-b-mode", "no-known-solution", "short-known-solution", "read-empty",
+        "read-header-and-comments", "read-negative-entry-count", "write-csc"])
+def test_typed_refusals(call, error, message):
+    assert_refused(call, error, message)

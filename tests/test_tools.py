@@ -1,7 +1,7 @@
 """The repository's tools: ``tools/gate.py`` reads a commit's files with
-``git archive``, writes nothing under ``.git`` and names the JSON members
-at which two outputs differ; its vector file reads as ``float`` reads each
-entry."""
+``git archive``, writes nothing under ``.git``, reads back the files a
+command names as its own outputs and names the JSON members at which two
+outputs differ; its vector file reads as ``float`` reads each entry."""
 
 import importlib.util
 import io
@@ -58,3 +58,19 @@ def test_gate_names_the_json_members_that_differ():
     assert gate.json_differences(old, old) == []
     assert gate.json_differences(b"k,alpha\n0,0.5\n", old) == []
     assert gate.json_differences(None, new) == []
+
+
+def test_gate_reads_the_files_a_command_names_as_its_own(tmp_path, monkeypatch):
+    gate = _load_tool("gate")
+    monkeypatch.setattr(gate, "COMMANDS", [
+        c for c in gate.COMMANDS if c[0] in ("generate-laplacian", "compare-random")])
+    results = gate.run(ROOT, tmp_path)
+    # neither command is given --output, which both would refuse
+    code, stdout, stderr, (matrix, b) = results["generate-laplacian"]
+    assert (code, stderr) == (0, b"")
+    assert stdout == b"matrix written to L.mtx\nb vector written to L_b.txt\n"
+    assert matrix.startswith(b"%%MatrixMarket matrix coordinate real symmetric\n300 300 599\n")
+    assert b == b"1\n" * 300
+    code, stdout, stderr, written = results["compare-random"]
+    assert (code, stderr, written) == (0, b"", ())
+    assert stdout.endswith(b"the two stepsize formulas agree\n")

@@ -30,7 +30,7 @@ from cgkit import (
 from cgkit.cli import main
 from cgkit.problems_io import BuiltinProblemSpec, builtin_problem
 from cgkit.verify import CONDITION_RELAX_THRESHOLD, _ritz_extremes
-from conftest import make_spd_problem
+from conftest import assert_refused, make_spd_problem
 
 EPS = np.finfo(np.float64).eps
 
@@ -434,3 +434,9 @@ def test_manual_trace_without_cached_products_rejected(worked_problem):
                             grad_tolerance=trace.grad_tolerance)
     with pytest.raises(IncompleteTraceError, match="record 0 has no"):
         check_classical_identities(broken, worked_problem.A)
+
+
+@pytest.mark.parametrize("name", ["nope", "descent "])
+def test_check_of_an_unknown_name_is_refused(worked_problem, worked_trace, name):
+    report = run_all_checks(worked_trace, worked_problem)
+    assert_refused(lambda: report.check(name), KeyError, f"no check named {name!r}")

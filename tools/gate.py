@@ -7,9 +7,12 @@ REF's files are extracted with ``git archive`` into a temporary directory,
 so the run writes nothing under ``.git``.  Each gate command runs once
 under each tree's ``src`` (``python -m cgkit ... --output FILE
 --no-timestamp``) from a directory of its own, so that the two runs print
-the same text.  The output files, standard output, standard error and exit
-codes are compared byte for byte; where the output files differ and both
-parse as JSON, the first paths at which they differ are printed too.
+the same text.  A command that names its own output files instead
+(``generate``'s ``--out-matrix`` and ``--out-b``, or none for ``compare``)
+gets neither option.  The output files, standard output, standard error
+and exit codes are compared byte for byte; where an output file differs
+and both sides parse as JSON, the first paths at which they differ are
+printed too.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``), ``P.mtx``
 (``shuffled_path_mtx``) and ``b.txt`` (``grid_b_txt``), the files that the
 ``--matrix`` and ``--b-file`` commands read.
@@ -30,8 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, arguments, output file); every command also gets --output and
-# --no-timestamp
+# (name, arguments, outputs): a str names the file that the command writes
+# by --output, and the command also gets --no-timestamp; a tuple names the
+# files that its own arguments write, and the command gets neither
 COMMANDS = (
     ("verify-random-n200", ["verify", "--builtin", "random_spd", "--n", "200",
                             "--cond", "100", "--dist", "loguniform"], "out.json"),
@@ -69,6 +73,17 @@ COMMANDS = (
     ("verify-random-n300-edge", ["verify", "--builtin", "random_spd", "--n", "300",
                                  "--cond", "1e4", "--b", "random", "--max-iters", "128",
                                  "--include-vectors"], "out.json"),
+    # the MatrixMarket coordinate and array writers and the vector writer
+    ("generate-laplacian", ["generate", "--builtin", "laplacian1d", "--n", "300",
+                            "--out-matrix", "L.mtx", "--out-b", "L_b.txt"],
+     ("L.mtx", "L_b.txt")),
+    ("generate-random-array", ["generate", "--builtin", "random_spd", "--n", "40",
+                               "--cond", "100", "--b", "random", "--mtx-format", "array",
+                               "--out-matrix", "R.mtx", "--out-b", "R_b.txt"],
+     ("R.mtx", "R_b.txt")),
+    # compare writes no file: its printout is its output
+    ("compare-random", ["compare", "--builtin", "random_spd", "--n", "200",
+                        "--cond", "100", "--b", "random"], ()),
 )
 
 
@@ -120,18 +135,23 @@ def extract(ref: str, dest: Path) -> None:
 
 
 def run(tree: Path, workdir: Path) -> dict[str, tuple]:
-    """Each command's (exit code, stdout, stderr, output bytes) under ``tree``."""
+    """Each command's (exit code, stdout, stderr, output files) under
+    ``tree``: the bytes of each output file, None for one not written."""
     results = {}
-    for name, args, output in COMMANDS:
+    for name, args, outputs in COMMANDS:
+        if isinstance(outputs, str):
+            args = [*args, "--output", outputs, "--no-timestamp"]
+            outputs = (outputs,)
         cwd = workdir / name
         cwd.mkdir(parents=True)
         (cwd / "A.mtx").write_text(grid_general_mtx())
         (cwd / "P.mtx").write_text(shuffled_path_mtx())
         (cwd / "b.txt").write_bytes(grid_b_txt().encode())
         proc = subprocess.run(
-            [sys.executable, "-m", "cgkit", *args, "--output", output, "--no-timestamp"],
-            cwd=cwd, capture_output=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")))
-        written = (cwd / output).read_bytes() if (cwd / output).exists() else None
+            [sys.executable, "-m", "cgkit", *args], cwd=cwd, capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+        written = tuple((cwd / output).read_bytes() if (cwd / output).exists() else None
+                        for output in outputs)
         results[name] = (proc.returncode, proc.stdout, proc.stderr, written)
     return results
 
@@ -172,15 +192,16 @@ def main(argv: list[str]) -> int:
         extract(ref, tmp / "ref")
         before = run(tmp / "ref", tmp / "runs-ref")
         after = run(ROOT, tmp / "runs-tree")
-    fields = ("exit code", "stdout", "stderr", "output file")
+    fields = ("exit code", "stdout", "stderr", "output files")
     failed = 0
     for name, *_ in COMMANDS:
         differ = [field for field, old, new in zip(fields, before[name], after[name])
                   if old != new]
-        size = len(after[name][3] or b"")
+        size = sum(len(written or b"") for written in after[name][3])
         print(f"{'DIFFER' if differ else 'same  '} {name} (exit {after[name][0]}, "
               f"{size} bytes){': ' + ', '.join(differ) if differ else ''}")
-        paths = json_differences(before[name][3], after[name][3]) if differ else []
+        paths = [path for old, new in zip(before[name][3], after[name][3])
+                 for path in json_differences(old, new)] if differ else []
         if paths:
             print(f"       members: {', '.join(paths)}")
         failed += bool(differ)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (BreakdownError, DimensionError, IncompleteTraceError,
                      ProblemSpecError)
-from .linalg import MatrixSPD, _certified_solve, as_vector, dot
+from .linalg import MatrixSPD, _certified_solve, _check_nonnegative, as_vector, dot
 
 __all__ = [
     "StepsizeRule",
@@ -165,8 +165,7 @@ class SolverConfig:
         object.__setattr__(self, "stepsize_rule", StepsizeRule(self.stepsize_rule))
         object.__setattr__(self, "beta_rule", BetaRule(self.beta_rule))
         object.__setattr__(self, "gradient_update", GradientUpdate(self.gradient_update))
-        if self.grad_tolerance is not None and not self.grad_tolerance >= 0.0:
-            raise ProblemSpecError("grad_tolerance must be nonnegative")
+        _check_nonnegative(self.grad_tolerance, "grad_tolerance")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ProblemSpecError("max_iterations must be at least 1")
 

@@ -17,11 +17,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cg import QuadraticProblem, SolverConfig, TerminationReason, solve
+from .cg import (DEFAULT_RELATIVE_TOLERANCE, QuadraticProblem, SolverConfig,
+                 TerminationReason, solve)
 from .errors import CgKitError, IncompleteTraceError
 from .linalg import SpectrumSpec
 from .problems_io import (
     BUILTIN_FAMILIES,
+    MTX_FORMATS,
+    TRACE_FORMATS,
     BuiltinProblemSpec,
     TraceDocument,
     _linear_term,
@@ -33,7 +36,7 @@ from .problems_io import (
     write_trace,
     write_vector_file,
 )
-from .verify import check_stepsize_equivalence, run_all_checks
+from .verify import STEPSIZE_TOLERANCE, check_stepsize_equivalence, run_all_checks
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,10 +57,10 @@ def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
                       help="diagonal entries (family: diagonal)")
     opts.add_argument("--cond", type=float, default=None,
                       help="condition number for random_spd (spectrum in [1, cond])")
-    opts.add_argument("--dist", choices=("loguniform", "linear", "clustered"),
-                      help="random_spd spectrum layout (default: loguniform)")
-    opts.add_argument("--clusters", type=int,
-                      help="cluster count for --dist clustered (default: 2)")
+    opts.add_argument("--dist", choices=SpectrumSpec._DISTRIBUTIONS, help=(
+        f"random_spd spectrum layout (default: {SpectrumSpec.distribution})"))
+    opts.add_argument("--clusters", type=int, help=(
+        f"cluster count for --dist clustered (default: {SpectrumSpec.clusters})"))
     opts.add_argument("--seed", type=int, help="matrix seed for random_spd (default: 0)")
     opts.add_argument("--b", choices=("ones", "random"), default=None,
                       help="linear-term mode (default: ones)")
@@ -70,14 +73,16 @@ def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     grp = parser.add_argument_group("solver options")
-    grp.add_argument("--stepsize", choices=("exact", "orthogonal"),
-                     default="exact", help="stepsize rule")
-    grp.add_argument("--beta", choices=("fr", "hs", "prp", "dy"), default="fr",
-                     help="direction-coupling rule")
-    grp.add_argument("--grad-update", choices=("recurrence", "explicit"),
-                     default="recurrence", help="gradient update mode")
-    grp.add_argument("--tol", type=float, default=None,
-                     help="gradient tolerance (default: 1e-12 * ||g_0||)")
+    # each rule flag takes the values of its SolverConfig field's enum and
+    # that field's default
+    for flag, field, text in (("--stepsize", "stepsize_rule", "stepsize rule"),
+                              ("--beta", "beta_rule", "direction-coupling rule"),
+                              ("--grad-update", "gradient_update", "gradient update mode")):
+        default = getattr(SolverConfig, field)
+        grp.add_argument(flag, choices=[rule.value for rule in type(default)],
+                         default=default.value, help=text)
+    grp.add_argument("--tol", type=float, default=None, help=(
+        f"gradient tolerance (default: {DEFAULT_RELATIVE_TOLERANCE:g} * ||g_0||)"))
     grp.add_argument("--max-iters", type=int, default=None,
                      help="iteration cap (default: problem dimension)")
 
@@ -87,8 +92,9 @@ def _add_output_arguments(parser: argparse.ArgumentParser, what: str) -> None:
     ``--format``) and ``verify`` (``what="report"``)."""
     parser.add_argument("--output", metavar="PATH", help=f"{what} file to write")
     if what == "trace":
-        parser.add_argument("--format", choices=("structured", "tabular"),
-                            default="structured", help="trace file format")
+        parser.add_argument("--format", choices=TRACE_FORMATS, help="trace file format")
+    # write_trace's own default, which a report always takes
+    parser.set_defaults(format=write_trace.__kwdefaults__["fmt"])
     parser.add_argument("--include-vectors", action="store_true",
                         help=f"embed per-iteration vectors in the {what}")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -153,9 +159,9 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
         if n is None:
             raise CgKitError("--builtin random_spd requires --n")
         cond = args.cond if args.cond is not None else 10.0
-        spectrum = SpectrumSpec(lam_min=1.0, lam_max=cond,
-                                distribution=args.dist or "loguniform",
-                                clusters=2 if args.clusters is None else args.clusters)
+        spectrum = SpectrumSpec(
+            lam_min=1.0, lam_max=cond, distribution=args.dist or SpectrumSpec.distribution,
+            clusters=SpectrumSpec.clusters if args.clusters is None else args.clusters)
     elif n is None:
         raise CgKitError(f"--builtin {family} requires --n")
 
@@ -189,7 +195,7 @@ def _write_document(args, problem, config, trace, description, report=None) -> N
                                    problem_description=description, report=report,
                                    include_vectors=args.include_vectors,
                                    timestamp=not args.no_timestamp)
-    write_trace(doc, args.output, fmt=getattr(args, "format", "structured"))
+    write_trace(doc, args.output, fmt=args.format)
     print(f"{'trace' if report is None else 'report'} written to {args.output}")
 
 
@@ -272,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare the two stepsize formulas on one run")
     _add_problem_arguments(p_compare)
     _add_solver_arguments(p_compare)
-    p_compare.add_argument("--tolerance", type=float, default=1e-12,
+    p_compare.add_argument("--tolerance", type=float, default=STEPSIZE_TOLERANCE,
                            help="relative discrepancy tolerance")
     p_compare.set_defaults(func=_cmd_compare)
 
@@ -283,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="MatrixMarket output path")
     p_gen.add_argument("--out-b", required=True, metavar="PATH",
                        help="b-vector output path (one decimal per line)")
-    p_gen.add_argument("--mtx-format", choices=("coordinate", "array"),
-                       default=None, help="force a MatrixMarket format")
+    p_gen.add_argument("--mtx-format", choices=MTX_FORMATS,
+                       help="force a MatrixMarket format")
     p_gen.set_defaults(func=_cmd_generate)
     return parser
 

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CgKitError",
+    "DimensionError",
+    "SymmetryError",
+    "NotPositiveDefiniteError",
+    "ProblemSpecError",
+    "BreakdownError",
+    "IncompleteTraceError",
+    "MatrixMarketError",
+]
+
 
 class CgKitError(Exception):
     """Base class for all cgkit errors."""

@@ -45,6 +45,8 @@ __all__ = [
 
 BUILTIN_FAMILIES = ("laplacian1d", "hilbert", "diagonal", "random_spd")
 B_MODES = ("ones", "random", "from_known_solution")
+MTX_FORMATS = ("coordinate", "array")
+TRACE_FORMATS = ("structured", "tabular")
 HILBERT_MAX_ORDER = 12
 
 _FMT = "%.17g"
@@ -335,7 +337,7 @@ def _parse_header(header: str) -> tuple[str, str]:
             "header must read '%%MatrixMarket matrix <format> <field> <symmetry>'",
             line=1)
     fmt, fieldspec, symmetry = (p.lower() for p in parts[2:5])
-    if fmt not in ("coordinate", "array"):
+    if fmt not in MTX_FORMATS:
         raise MatrixMarketError(f"unsupported format {fmt!r}", line=1)
     if fieldspec not in ("real", "integer"):
         raise MatrixMarketError(
@@ -444,7 +446,7 @@ def write_matrix_market(a: MatrixSPD, target, *, fmt: str | None = None) -> None
     """
     if fmt is None:
         fmt = "coordinate" if a.storage == "csr" else "array"
-    if fmt not in ("coordinate", "array"):
+    if fmt not in MTX_FORMATS:
         raise ValueError(f"unknown MatrixMarket format {fmt!r}")
     with _open_text(target, "w") as stream:
         if fmt == "coordinate":
@@ -718,7 +720,7 @@ def _package_version() -> str:
 
 def write_trace(doc: TraceDocument, target, *, fmt: str = "structured") -> None:
     """Serialize a trace document (``structured`` JSON or ``tabular`` CSV)."""
-    if fmt not in ("structured", "tabular"):
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r}")
     payload = doc.to_json() if fmt == "structured" else doc.to_tabular()
     with _open_text(target, "w") as stream:

@@ -47,6 +47,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .cg import (
     EPS_DENOMINATOR,
+    BetaRule,
     IterationTrace,
     QuadraticProblem,
     TerminationReason,
@@ -80,7 +81,6 @@ STEPSIZE_TOLERANCE = 1e-12
 SOLUTION_TOLERANCE = 1e-10
 
 _FLOOR = np.finfo(np.float64).tiny
-_BETA_RULES = ("fr", "hs", "prp", "dy")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -205,17 +205,13 @@ def estimate_condition(a: MatrixSPD | np.ndarray) -> float | None:
     Returns None for matrices of order above ``DENSIFY_CAP``; ``inf`` when
     the smallest eigenvalue is not positive.  The verifier does not call
     it: its tolerance schedule and reports use the Ritz estimate of the
-    recorded steps, which this exact value bounds from above.
+    recorded steps, which this exact value bounds from above.  A raw
+    array ``a`` is validated by :meth:`MatrixSPD.from_dense` first.
     """
-    if isinstance(a, MatrixSPD):
-        if a.n > DENSIFY_CAP:
-            return None
-        dense = a.to_dense()
-    else:
-        dense = np.asarray(a, dtype=np.float64)
-        if dense.shape[0] > DENSIFY_CAP:
-            return None
-    vals = np.linalg.eigvalsh(dense)
+    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    if m.n > DENSIFY_CAP:
+        return None
+    vals = np.linalg.eigvalsh(m.to_dense())
     if vals[0] <= 0.0:
         return math.inf
     return float(vals[-1] / vals[0])
@@ -435,7 +431,7 @@ def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
         raw = values.max(axis=0) - values.min(axis=0)
         normalized = np.where(peak > 0.0, raw / peak, 0.0)
     formulas = [lambda k, rule=rule: beta(rule, s.G[k], s.G[k - 1], s.D[k - 1])
-                for rule in _BETA_RULES]
+                for rule in BetaRule]
     return (_with_breakdowns("beta_agreement", tol, raw, normalized, broken,
                              np.arange(1, K), formulas, note),)
 

@@ -74,13 +74,20 @@ class TestSolve:
                        "--max-iters", "1")
         assert code == 2
 
-    def test_breakdown_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("stepsize, message", [
+        ("exact", "exact-stepsize denominator d.Ad = 1.000e-305 "
+                  "is numerically zero or negative"),
+        ("orthogonal", "orthogonality-stepsize denominator g.Ad = -1.000e-305 "
+                       "is numerically zero"),
+    ])
+    def test_breakdown_exit_code(self, tmp_path, capsys, stepsize, message):
         mtx = tmp_path / "tiny.mtx"
         mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                        "1 1 1\n"
                        "1 1 1e-305\n")
-        code = run_cli("solve", "--matrix", str(mtx))
+        code = run_cli("solve", "--matrix", str(mtx), "--stepsize", stepsize)
         assert code == 3
+        assert capsys.readouterr().err == f"breakdown: {message} (iteration 0)\n"
 
     def test_missing_source_is_an_error(self, capsys):
         code = run_cli("solve")
@@ -323,6 +330,19 @@ def test_benchmark_imports_only_public_names():
     assert [name for name in cgkit.__all__ if not hasattr(cgkit, name)] == []
 
 
+def test_each_public_name_is_declared_once():
+    import cgkit
+    from cgkit import cg, errors, linalg, problems_io, verify
+
+    modules = (errors, linalg, cg, verify, problems_io)
+    declared = [name for module in modules for name in getattr(module, "__all__", ())]
+    assert len(set(cgkit.__all__)) == len(cgkit.__all__)
+    assert sorted(cgkit.__all__) == sorted([*declared, "__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(cgkit, name) is getattr(module, name)
+
+
 def test_python_dash_m_runs_without_install():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -506,7 +526,10 @@ def test_non_finite_builtin_numbers_are_an_error(capsys, flags, message):
     (("--builtin", "laplacian1d", "--n", "2", "--known-solution", "a,b"),
      "--known-solution expects comma-separated numbers: "
      "could not convert string to float: 'a'"),
-], ids=["eigs", "known-solution"])
+    # worded like --check-tol's refusal
+    (("--builtin", "laplacian1d", "--n", "2", "--tol", "-1"),
+     "grad_tolerance must be nonnegative, got -1.0"),
+], ids=["eigs", "known-solution", "tol"])
 def test_typed_refusals(capsys, flags, message):
     code = run_cli("verify", *flags)
     assert code == 1

@@ -23,6 +23,7 @@ from cgkit import (
     SymmetryError,
     builtin_problem,
     dot,
+    estimate_condition,
     generate_spd,
     matvec,
     read_matrix_market,
@@ -824,9 +825,18 @@ _RANGE = SpectrumSpec(lam_min=1.0, lam_max=2.0)
     (lambda: _RANGE.materialize(0, np.random.default_rng(0)), ProblemSpecError,
      "n must be at least 1"),
     (lambda: generate_spd(0, _RANGE, 0), ProblemSpecError, "n must be at least 1"),
+    # a raw array reaches estimate_condition through MatrixSPD.from_dense
+    (lambda: estimate_condition(np.array([[1.0, 5.0], [0.0, 1.0]])), SymmetryError,
+     "matrix is not symmetric: max |A_ij - A_ji| = 5.000e+00 exceeds 1e-12 * max|A| "
+     "= 5.000e-12"),
+    (lambda: estimate_condition(np.full((2, 2), np.nan)), CgKitError,
+     "matrix contains non-finite entries"),
+    (lambda: estimate_condition(np.ones(3)), DimensionError,
+     "expected a square matrix, got shape (3,)"),
 ], ids=["constructor", "dense-order-0", "csr-order-0", "csr-non-finite",
         "csr-index-past-n", "csr-negative-index", "csr-arrays-of-dense", "as-vector-2d",
         "dot-2d", "spectrum-list-and-range", "spectrum-empty-list", "spectrum-infinite-bound",
-        "spectrum-no-clusters", "materialize-0", "generate-spd-0"])
+        "spectrum-no-clusters", "materialize-0", "generate-spd-0",
+        "condition-of-asymmetric", "condition-of-nan", "condition-of-1d"])
 def test_typed_refusals(call, error, message):
     assert_refused(call, error, message)

@@ -5,6 +5,7 @@ outputs differ; its vector file reads as ``float`` reads each entry."""
 
 import importlib.util
 import io
+import json
 import shutil
 from pathlib import Path
 
@@ -58,6 +59,33 @@ def test_gate_names_the_json_members_that_differ():
     assert gate.json_differences(old, old) == []
     assert gate.json_differences(b"k,alpha\n0,0.5\n", old) == []
     assert gate.json_differences(None, new) == []
+
+
+@pytest.mark.parametrize("name, printed", [
+    ("help-solve", [b"usage: cgkit solve ", b"--stepsize {exact,orthogonal}",
+                    b"--beta {fr,hs,prp,dy}", b"--grad-update {recurrence,explicit}",
+                    b"--format {structured,tabular}"]),
+    ("help-generate", [b"usage: cgkit generate ", b"--dist {loguniform,linear,clustered}",
+                       b"(default: loguniform)", b"(default: 2)",
+                       b"--mtx-format {coordinate,array}"]),
+    ("solve-untraced", [b"iterations: 100\ntermination: gradient_below_tolerance\n"]),
+    ("verify-diagonal-known", [b"report written to out.json\n", b"overall: PASS"]),
+    ("solve-clustered-orthogonal-dy", [b"trace written to out.json\n"]),
+])
+def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed):
+    gate = _load_tool("gate")
+    monkeypatch.setattr(gate, "COMMANDS", [c for c in gate.COMMANDS if c[0] == name])
+    (code, stdout, stderr, written), = gate.run(ROOT, tmp_path).values()
+    assert (code, stderr) == (0, b"")
+    assert [text for text in printed if text not in stdout] == []
+    if name == "verify-diagonal-known":  # b = -A x* plants x* = (1, -2, 0.5, 3)
+        final = json.loads(written[0])["final"]
+        np.testing.assert_allclose(final["x"], [1.0, -2.0, 0.5, 3.0], rtol=1e-13)
+    elif name == "solve-clustered-orthogonal-dy":
+        config = json.loads(written[0])["metadata"]["config"]
+        assert (config["stepsize_rule"], config["beta_rule"]) == ("orthogonal", "dy")
+    else:
+        assert written == ()
 
 
 def test_gate_reads_the_files_a_command_names_as_its_own(tmp_path, monkeypatch):

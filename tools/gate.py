@@ -84,6 +84,19 @@ COMMANDS = (
     # compare writes no file: its printout is its output
     ("compare-random", ["compare", "--builtin", "random_spd", "--n", "200",
                         "--cond", "100", "--b", "random"], ()),
+    # the option text, whose choices and defaults are read from the library
+    ("help-solve", ["solve", "--help"], ()),
+    ("help-generate", ["generate", "--help"], ()),
+    # a solve that records no trace: its printout is its output
+    ("solve-untraced", ["solve", "--builtin", "laplacian1d", "--n", "200"], ()),
+    # the diagonal family, with the linear term b = -A x* of a planted minimizer
+    ("verify-diagonal-known", ["verify", "--builtin", "diagonal", "--eigs", "3,1,2,10",
+                               "--known-solution", "1,-2,0.5,3"], "out.json"),
+    # the orthogonality stepsize and the DY coupling on a clustered spectrum
+    ("solve-clustered-orthogonal-dy", ["solve", "--builtin", "random_spd", "--n", "60",
+                                       "--cond", "1e3", "--dist", "clustered",
+                                       "--clusters", "5", "--stepsize", "orthogonal",
+                                       "--beta", "dy"], "out.json"),
 )
 
 

@@ -133,10 +133,11 @@ class QuadraticProblem:
 
     def direct_solution(self) -> np.ndarray:
         """Minimizer from the direct solve of ``A x = -b`` made at
-        construction (oracle route: dense Cholesky, or for CSR storage banded
-        Cholesky after RCM ordering unless the matrix's own order already
-        has the narrowest possible band), read-only; it equals
-        ``solve_direct(A, -b)`` bit for bit and costs no factorization."""
+        construction (oracle route: NumPy's dense Cholesky and blocked
+        substitution, or for CSR storage SciPy's banded Cholesky after RCM
+        ordering unless the matrix's own order already has the narrowest
+        possible band), read-only; it equals ``solve_direct(A, -b)`` bit for
+        bit and costs no factorization."""
         return self._x_star
 
     def __repr__(self) -> str:

@@ -36,7 +36,8 @@ from .problems_io import (
     write_trace,
     write_vector_file,
 )
-from .verify import STEPSIZE_TOLERANCE, check_stepsize_equivalence, run_all_checks
+from .verify import (CONDITION_RELAX_THRESHOLD, DEFAULT_CHECK_TOLERANCE, STEPSIZE_TOLERANCE,
+                     check_stepsize_equivalence, run_all_checks)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,10 +62,12 @@ def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
         f"random_spd spectrum layout (default: {SpectrumSpec.distribution})"))
     opts.add_argument("--clusters", type=int, help=(
         f"cluster count for --dist clustered (default: {SpectrumSpec.clusters})"))
-    opts.add_argument("--seed", type=int, help="matrix seed for random_spd (default: 0)")
+    opts.add_argument("--seed", type=int, help=(
+        f"matrix seed for random_spd (default: {BuiltinProblemSpec.seed})"))
     opts.add_argument("--b", choices=("ones", "random"), default=None,
-                      help="linear-term mode (default: ones)")
-    opts.add_argument("--b-seed", type=int, help="seed for --b random (default: 0)")
+                      help=f"linear-term mode (default: {BuiltinProblemSpec.b_mode})")
+    opts.add_argument("--b-seed", type=int, help=(
+        f"seed for --b random (default: {BuiltinProblemSpec.b_seed})"))
     opts.add_argument("--b-file", metavar="PATH",
                       help="vector file for the linear term (with --matrix)")
     opts.add_argument("--known-solution", metavar="V1,V2,...",
@@ -269,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_arguments(p_verify)
     _add_solver_arguments(p_verify)
     p_verify.add_argument("--check-tol", type=float, default=None,
-                          help="normalized identity tolerance "
-                               "(default: 1e-8, relaxed above condition 1e4)")
+                          help=f"normalized identity tolerance (default: "
+                               f"{DEFAULT_CHECK_TOLERANCE:.0e}, relaxed above "
+                               f"condition {CONDITION_RELAX_THRESHOLD:.0e})")
     _add_output_arguments(p_verify, "report")
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -8,6 +8,10 @@ oracle shares its Cholesky routine, which factors CSR storage as a band after
 reverse Cuthill-McKee (RCM) ordering (George & Liu, 1981), unless the
 matrix's own order already has the narrowest possible band; a problem's
 certificate and its minimizer come from one factor.
+
+SciPy is imported only by the CSR paths that need it (the sparse container,
+the banded factor and its solve, and the RCM ordering): dense storage is
+built, certified and solved with NumPy alone.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as _sparse
-from scipy.linalg import cho_solve, cho_solve_banded
 
 from .errors import (
     CgKitError,
@@ -42,6 +44,9 @@ __all__ = [
 # by a dense eigensolve; the verifier does not call it, and nothing else is
 # capped by order.
 DENSIFY_CAP = 2000
+
+# Rows per diagonal block of the dense triangular solves in _substitute.
+SOLVE_BLOCK = 64
 
 # Most float64 entries (1 GiB) in the band of a CSR matrix's Cholesky factor.
 # Its size (bandwidth + 1) * n is known before allocation; a larger one is refused.
@@ -118,8 +123,10 @@ class MatrixSPD:
         data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(data)):
             raise CgKitError("matrix contains non-finite entries")
+        from scipy.sparse import csr_array
+
         try:  # a copy: canonicalizing sorts in place, and the result is frozen
-            m = _sparse.csr_array((data, indices, indptr), shape=(n, n), copy=True)
+            m = csr_array((data, indices, indptr), shape=(n, n), copy=True)
             m.check_format(full_check=True)  # the constructor's check skips index bounds
         except (ValueError, IndexError) as err:
             raise DimensionError(f"invalid CSR structure: {err}") from err
@@ -328,15 +335,39 @@ def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
             f"singular to working precision")
 
 
+def _substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of ``L Lᵀ x = rhs`` for a dense lower factor ``L``, by
+    blocked forward and back substitution: each ``SOLVE_BLOCK``-row
+    diagonal block is solved by ``np.linalg.solve`` after one
+    matrix-vector product with the rows or columns already solved, so the
+    work beyond the factor is O(n²) flops, plus O(n * SOLVE_BLOCK²) in the
+    blocks, and no O(n³) solve with the whole matrix."""
+    n = factor.shape[0]
+    starts = range(0, n, SOLVE_BLOCK)
+    y = np.empty(n)
+    for i in starts:
+        j = min(i + SOLVE_BLOCK, n)
+        y[i:j] = np.linalg.solve(factor[i:j, i:j], rhs[i:j] - factor[i:j, :i] @ y[:i])
+    x = np.empty(n)
+    for i in reversed(starts):
+        j = min(i + SOLVE_BLOCK, n)
+        x[i:j] = np.linalg.solve(factor[i:j, i:j].T, y[i:j] - x[j:] @ factor[j:, i:j])
+    return x
+
+
 def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
     """The solution of ``m x = rhs`` from the ``_cholesky`` factor that
     certifies ``m`` as :func:`spd_validate` does (with its errors), which
-    is then dropped.  A banded factor is solved in its order: RCM ordering,
-    undone by two gathers, unless the matrix's own order already has the
-    narrowest possible band, which needs none."""
+    is then dropped.  A dense factor is solved by NumPy's blocked
+    substitution (:func:`_substitute`), with no SciPy import.  A banded
+    factor is solved by SciPy's ``cho_solve_banded`` in its order: RCM
+    ordering, undone by two gathers, unless the matrix's own order already
+    has the narrowest possible band, which needs none."""
     factor, perm = _cholesky(m)
     if m.is_dense:
-        return cho_solve((factor, True), rhs, check_finite=False)
+        return _substitute(factor, rhs)
+    from scipy.linalg import cho_solve_banded
+
     if perm is None:
         return cho_solve_banded((factor, True), rhs, check_finite=False)
     x = np.empty_like(rhs)

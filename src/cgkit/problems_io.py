@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import IO, Any, Iterable
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
@@ -151,6 +150,8 @@ def _laplacian1d(n: int) -> MatrixSPD:
     indices, data = indices[1:-1], data[1:-1]
     for arr in (indptr, indices, data):
         arr.setflags(write=False)
+    from scipy.sparse import csr_array
+
     return MatrixSPD._new("csr", csr_array((data, indices, indptr), shape=(n, n)))
 
 
@@ -513,12 +514,14 @@ def read_vector_file(source) -> np.ndarray:
     that syntax raises :class:`MatrixMarketError` with its line number, in
     ``float``'s words where ``float`` refuses it too."""
     with _open_text(source, "r") as stream:
-        lines = ["" if text.startswith(("#", "%")) else text
-                 for text in map(str.strip, stream)]
+        lines = list(map(str.strip, stream.readlines()))
     body = "\n".join(lines) + "\n"
+    if "#" in body or "%" in body:  # blank the comment lines
+        lines = ["" if text.startswith(("#", "%")) else text for text in lines]
+        body = "\n".join(lines) + "\n"
     if body.count("\n") > max(len(lines), 1):  # a stream split at CR keeps LF in a line
         body = "\n".join(text.replace("\n", "?") for text in lines) + "\n"
-    entries = [text for text in lines if text]
+    entries = list(filter(None, lines))
     try:
         _check_entries(np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8),
                        1, len(entries), 1)

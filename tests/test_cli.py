@@ -294,7 +294,7 @@ def test_import_leaves_costly_scipy_modules_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, cgkit; print([m for m in ('scipy.io', 'scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg') if m in sys.modules])")
+            "'scipy.sparse.linalg', 'scipy.sparse', 'scipy.linalg') if m in sys.modules])")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -313,6 +313,33 @@ def test_path_problems_never_load_the_graph_ordering():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_dense_problems_never_load_scipy(tmp_path):
+    # a dense problem is certified, solved for its minimizer, run and
+    # verified with NumPy alone: no scipy module is loaded, in the library
+    # or in the CLI's verify
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    scipy_modules = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    library = (
+        "import sys, cgkit; "
+        "spec = cgkit.BuiltinProblemSpec(family='random_spd', n=50, b_mode='random', "
+        "spectrum=cgkit.SpectrumSpec(lam_min=1.0, lam_max=10.0, distribution='linear')); "
+        "p = cgkit.builtin_problem(spec); _, trace = cgkit.solve(p); "
+        "assert cgkit.run_all_checks(trace, p).passed; "
+        f"print({scipy_modules})")
+    # what `python -m cgkit verify ...` runs, short of its exit
+    cli = ("import sys; from cgkit.cli import main; "
+           "code = main(['verify', '--builtin', 'random_spd', '--n', '50', '--cond', '10', "
+           "'--dist', 'linear', '--b', 'random', '--output', 'v.json']); "
+           f"print(code, {scipy_modules})")
+    for code, printed in ((library, "[]\n"), (cli, "0 []\n")):
+        res = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.endswith(printed)
+    assert json.loads((tmp_path / "v.json").read_text())["verification"]["passed"]
 
 
 def test_benchmark_imports_only_public_names():

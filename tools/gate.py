@@ -97,6 +97,11 @@ COMMANDS = (
                                        "--cond", "1e3", "--dist", "clustered",
                                        "--clusters", "5", "--stepsize", "orthogonal",
                                        "--beta", "dy"], "out.json"),
+    # the benchmark's CLI verify: a dense problem whose minimizer, Ritz
+    # extremes and report come from NumPy alone, with no SciPy import
+    ("verify-random-n50-linear", ["verify", "--builtin", "random_spd", "--n", "50",
+                                  "--cond", "10", "--dist", "linear", "--seed", "0",
+                                  "--b", "random", "--b-seed", "0"], "out.json"),
 )
 
 

@@ -15,6 +15,13 @@ the latter chosen so the new gradient is orthogonal to the current one.
 Four direction-coupling rules (FR, HS, PRP, DY) are implemented; with exact
 line search on a quadratic they agree.
 
+Each formula is written once, with its breakdown guard and wording: the
+stepsizes in :func:`_stepsize_exact` and :func:`_stepsize_orthogonal`, the
+couplings in :func:`_beta`.  The solver calls them on its own buffers;
+:func:`stepsize_exact`, :func:`stepsize_orthogonal` and :func:`beta` check
+their operands and call them; and the verifier marks broken steps with
+their guard, :func:`_vanishes`.
+
 Every solve can record an :class:`IterationTrace`, which is what the
 ``cgkit.verify`` checks consume.  It stores, per iteration, the scalars
 ``alpha_k`` and ``beta_k``, and ``x_0`` and ``g_0`` once; for dense storage
@@ -337,38 +344,50 @@ def beta(rule: BetaRule, g_k, g_prev, d_prev) -> float:
 
     Raises :class:`BreakdownError` on a vanishing denominator.  That cannot
     happen in a healthy run (the loop terminates on small gradients first),
-    so it is a loud guard rather than a silent zero.
+    so it is a loud guard rather than a silent zero.  The formulas, their
+    guards and the breakdown wording live in :func:`_beta` alone, which the
+    solver calls on its own buffers.
     """
     rule = BetaRule(rule)
-    g_k = np.asarray(g_k, dtype=np.float64)
-    g_prev = np.asarray(g_prev, dtype=np.float64)
-    d_prev = np.asarray(d_prev, dtype=np.float64)
-    if not (g_k.shape == g_prev.shape == d_prev.shape):
-        raise DimensionError("beta operands must share one length")
-    return _beta(rule, g_k, g_prev, d_prev, dot(g_k, g_k), dot(g_prev, g_prev),
-                 np.empty_like(g_k))
+    g_k, g_prev, d_prev = _operands("beta", g_k, g_prev, d_prev)
+    return _beta(rule, g_k, g_prev, d_prev, float(np.dot(g_k, g_k)),
+                 float(np.dot(g_prev, g_prev)), np.empty_like(g_k))
+
+
+def _operands(what: str, *vectors) -> list[np.ndarray]:
+    """The public formulas' one operand check: float64 arrays of
+    ``vectors``, refused with :class:`DimensionError` unless they are 1-D
+    and of one length."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise DimensionError(f"{what} operands must be 1-D and share one length")
+    return arrays
+
+
+def _vanishes(den, signed: bool):
+    """The breakdown guard of a denominator, elementwise on arrays: true at
+    or below ``EPS_DENOMINATOR``.  A ``signed`` denominator (g.Ad,
+    d_prev.(g_k - g_prev)) may have either sign and is tested in magnitude;
+    d.Ad and ||g_prev||^2 are positive in exact arithmetic and are tested
+    as they are."""
+    return (abs(den) if signed else den) <= EPS_DENOMINATOR
 
 
 def _beta(rule: BetaRule, g_k, g_prev, d_prev, gg: float, gg_prev: float,
           y: np.ndarray) -> float:
-    """:func:`beta` given ``gg = g_k . g_k`` and ``gg_prev = g_prev . g_prev``;
-    ``y`` is scratch space for ``g_k - g_prev``."""
+    """:func:`beta` of checked operands, given ``gg = g_k . g_k`` and
+    ``gg_prev = g_prev . g_prev``; ``y`` is scratch space for
+    ``g_k - g_prev``, formed once for the rules that read it."""
+    if rule is not BetaRule.FR:
+        np.subtract(g_k, g_prev, out=y)
     if rule in (BetaRule.FR, BetaRule.PRP):
-        den = gg_prev
-        if den <= EPS_DENOMINATOR:
-            raise BreakdownError(
-                f"{rule.name} denominator ||g_prev||^2 = {den:.3e} is numerically zero",
-                rule=rule.name)
+        den, name, signed = gg_prev, "||g_prev||^2", False
     else:
-        den = dot(d_prev, np.subtract(g_k, g_prev, out=y))
-        if abs(den) <= EPS_DENOMINATOR:
-            raise BreakdownError(
-                f"{rule.name} denominator d_prev.(g_k - g_prev) = {den:.3e} "
-                "is numerically zero", rule=rule.name)
-
-    if rule in (BetaRule.FR, BetaRule.DY):
-        return gg / den
-    return dot(g_k, np.subtract(g_k, g_prev, out=y)) / den  # HS, PRP
+        den, name, signed = float(np.dot(d_prev, y)), "d_prev.(g_k - g_prev)", True
+    if _vanishes(den, signed):
+        raise BreakdownError(f"{rule.name} denominator {name} = {den:.3e} "
+                             "is numerically zero", rule=rule.name)
+    return (gg if rule in (BetaRule.FR, BetaRule.DY) else float(np.dot(g_k, y))) / den
 
 
 def direction(g_k, beta_k: float | None = None, d_prev=None) -> np.ndarray:
@@ -425,14 +444,20 @@ def stepsize_exact(g_k, d_k, Ad_k) -> float:
     """Exact line-search stepsize ``-(g_k . d_k) / (d_k . A d_k)``.
 
     The denominator is positive for d_k != 0 under SPD A; values at or
-    below ``EPS_DENOMINATOR`` raise :class:`BreakdownError`.
+    below ``EPS_DENOMINATOR`` raise :class:`BreakdownError`.  The formula
+    lives in :func:`_stepsize_exact`, which the solver calls.
     """
-    den = dot(d_k, Ad_k)
-    if den <= EPS_DENOMINATOR:
+    return _stepsize_exact(*_operands("stepsize", g_k, d_k, Ad_k))
+
+
+def _stepsize_exact(g, d, Ad) -> float:
+    """:func:`stepsize_exact` of checked operands, guard and wording included."""
+    den = float(np.dot(d, Ad))
+    if _vanishes(den, signed=False):
         raise BreakdownError(
             f"exact-stepsize denominator d.Ad = {den:.3e} is numerically zero "
             "or negative", rule="exact")
-    return -dot(g_k, d_k) / den
+    return -float(np.dot(g, d)) / den
 
 
 def stepsize_orthogonal(g_k, Ad_k) -> float:
@@ -441,14 +466,22 @@ def stepsize_orthogonal(g_k, Ad_k) -> float:
 
     On a quadratic this equals the exact line-search stepsize; the
     denominator equals ``-(d_k . A d_k)`` in exact arithmetic and is
-    negative for g_k != 0.
+    negative for g_k != 0.  The formula lives in
+    :func:`_stepsize_orthogonal`, which the solver calls.
     """
-    den = dot(g_k, Ad_k)
-    if abs(den) <= EPS_DENOMINATOR:
+    g_k, Ad_k = _operands("stepsize", g_k, Ad_k)
+    return _stepsize_orthogonal(g_k, Ad_k, float(np.dot(g_k, g_k)))
+
+
+def _stepsize_orthogonal(g, Ad, gg: float) -> float:
+    """:func:`stepsize_orthogonal` of checked operands, given ``gg = g . g``,
+    guard and wording included."""
+    den = float(np.dot(g, Ad))
+    if _vanishes(den, signed=True):
         raise BreakdownError(
             f"orthogonality-stepsize denominator g.Ad = {den:.3e} is "
             "numerically zero", rule="orthogonal")
-    return -dot(g_k, g_k) / den
+    return -gg / den
 
 
 def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
@@ -458,8 +491,8 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
                         TerminationReason | None]:
     """Iteration ``k`` of the recurrence, on the caller's buffers.
 
-    This is the one implementation of the step, its breakdown guards and
-    its tolerance test; :func:`solve`, :func:`initial_record` and
+    This is the one implementation of the step and its tolerance test,
+    over the formulas' kernels; :func:`solve`, :func:`initial_record` and
     :func:`step` differ only in the buffers they hand it.  At ``k = 0``
     (``prev`` None) the caller has put ``x_0`` in ``x`` and ``g_0`` in
     ``g``.  Otherwise ``x`` and ``d`` hold ``x_{k-1}`` and ``d_{k-1}``,
@@ -486,26 +519,16 @@ def _iterate(problem: QuadraticProblem, config: SolverConfig, k: int,
         reason = TerminationReason.ITERATION_CAP
     if reason is not None:
         return gg, None, None, None, reason
-    # The buffers are the solver's own, so the operands are not validated
-    # again; a denominator that fails its guard goes to the public helper,
-    # which words the breakdown.
+    # the buffers are the solver's own, so the formulas' kernels take them
+    # unchecked
     try:
-        beta_k = None
-        if prev is not None:
-            if config.beta_rule is BetaRule.FR and gg_prev > EPS_DENOMINATOR:
-                beta_k = gg / gg_prev
-            else:
-                beta_k = _beta(config.beta_rule, g, g_prev, d, gg, gg_prev, tmp)
+        beta_k = None if prev is None else _beta(config.beta_rule, g, g_prev, d, gg,
+                                                 gg_prev, tmp)
         _direction(g, None if prev is None else d, beta_k, d, tmp)
         Ad = _product(problem.A, d)
-        if config.stepsize_rule is StepsizeRule.EXACT_LINE_SEARCH:
-            den = float(np.dot(d, Ad))
-            alpha = (-float(np.dot(g, d)) / den if den > EPS_DENOMINATOR
-                     else stepsize_exact(g, d, Ad))
-        else:
-            den = float(np.dot(g, Ad))
-            alpha = (-gg / den if abs(den) > EPS_DENOMINATOR
-                     else stepsize_orthogonal(g, Ad))
+        alpha = (_stepsize_exact(g, d, Ad)
+                 if config.stepsize_rule is StepsizeRule.EXACT_LINE_SEARCH
+                 else _stepsize_orthogonal(g, Ad, gg))
     except BreakdownError as err:
         raise err.at_iteration(k) from None
     return gg, alpha, beta_k, Ad, None

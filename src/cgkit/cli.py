@@ -45,6 +45,9 @@ EXIT_ITERATION_CAP = 2
 EXIT_BREAKDOWN = 3
 EXIT_FAILED_CHECK = 4
 
+# the format of a document written without --format: write_trace's own
+_DEFAULT_FORMAT = write_trace.__kwdefaults__["fmt"]
+
 
 def _add_problem_arguments(parser: argparse.ArgumentParser) -> None:
     src = parser.add_argument_group("problem source (exactly one)")
@@ -96,8 +99,6 @@ def _add_output_arguments(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument("--output", metavar="PATH", help=f"{what} file to write")
     if what == "trace":
         parser.add_argument("--format", choices=TRACE_FORMATS, help="trace file format")
-    # write_trace's own default, which a report always takes
-    parser.set_defaults(format=write_trace.__kwdefaults__["fmt"])
     parser.add_argument("--include-vectors", action="store_true",
                         help=f"embed per-iteration vectors in the {what}")
     parser.add_argument("--no-timestamp", action="store_true",
@@ -111,31 +112,37 @@ def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
         raise CgKitError(f"{flag} expects comma-separated numbers: {err}") from None
 
 
-# the problem options only some builtin families read, and those families
-_FAMILY_OPTIONS = {"--n": BUILTIN_FAMILIES, "--eigs": ("diagonal",),
-                   "--cond": ("random_spd",), "--dist": ("random_spd",),
-                   "--clusters": ("random_spd",), "--seed": ("random_spd",)}
+# An option the command would not read is refused, not dropped.  Each row
+# names an option, what it works with and the test on the parsed arguments
+# that it holds; the first option given whose test fails is refused.
+_WORKS_WITH = (
+    ("--b-file", "--matrix sources", lambda args: args.matrix is not None),
+    ("--n", "--builtin sources", lambda args: args.builtin is not None),
+    ("--eigs", "--builtin diagonal", lambda args: args.builtin == "diagonal"),
+    *((flag, "--builtin random_spd", lambda args: args.builtin == "random_spd")
+      for flag in ("--cond", "--dist", "--clusters", "--seed")),
+    ("--clusters", "--dist clustered", lambda args: args.dist == "clustered"),
+    ("--b-seed", "--b random", lambda args: args.b == "random"),
+    *((flag, "--output", lambda args: args.output is not None)
+      for flag in ("--include-vectors", "--format", "--no-timestamp")),
+    ("--include-vectors", f"--format {_DEFAULT_FORMAT}",
+     lambda args: getattr(args, "format", None) in (None, _DEFAULT_FORMAT)),
+)
 
 
 def _build_problem(args) -> tuple[QuadraticProblem, dict]:
     if (args.matrix is None) == (args.builtin is None):
         raise CgKitError("give exactly one problem source: --matrix or --builtin")
-    if args.b_file is not None and args.builtin is not None:
-        raise CgKitError("--b-file works with --matrix sources")
+    for flag, needs, holds in _WORKS_WITH:
+        # a row whose option this command lacks reads None
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value is not False and not holds(args):
+            raise CgKitError(f"{flag} works with {needs}")
     given = [flag for flag, value in (("--b", args.b), ("--b-file", args.b_file),
                                       ("--known-solution", args.known_solution))
              if value is not None]
     if len(given) > 1:
         raise CgKitError(f"give at most one linear term, not {' and '.join(given)}")
-    # an option the source would not read is refused, not dropped
-    for flag, families in _FAMILY_OPTIONS.items():
-        if getattr(args, flag[2:]) is not None and args.builtin not in families:
-            raise CgKitError(f"{flag} works with --builtin "
-                             f"{'sources' if len(families) > 1 else families[0]}")
-    if args.clusters is not None and args.dist != "clustered":
-        raise CgKitError("--clusters works with --dist clustered")
-    if args.b_seed is not None and args.b != "random":
-        raise CgKitError("--b-seed works with --b random")
     b_mode, known = "ones", None
     if args.known_solution is not None:
         b_mode = "from_known_solution"
@@ -198,7 +205,7 @@ def _write_document(args, problem, config, trace, description, report=None) -> N
                                    problem_description=description, report=report,
                                    include_vectors=args.include_vectors,
                                    timestamp=not args.no_timestamp)
-    write_trace(doc, args.output, fmt=args.format)
+    write_trace(doc, args.output, fmt=getattr(args, "format", None) or _DEFAULT_FORMAT)
     print(f"{'trace' if report is None else 'report'} written to {args.output}")
 
 

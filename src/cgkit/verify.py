@@ -45,11 +45,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cg import (
-    EPS_DENOMINATOR,
     BetaRule,
     IterationTrace,
     QuadraticProblem,
     TerminationReason,
+    _vanishes,
     beta,
     stepsize_exact,
     stepsize_orthogonal,
@@ -433,7 +433,7 @@ def _with_breakdowns(check: str, tol: float, raw: np.ndarray, normalized: np.nda
 
 def _stepsize_equivalence(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     gAd = _rowdot(s.G, s.AD)
-    broken = (s.dAd <= EPS_DENOMINATOR) | (np.abs(gAd) <= EPS_DENOMINATOR)
+    broken = _vanishes(s.dAd, signed=False) | _vanishes(gAd, signed=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_exact = -s.gd / s.dAd
         raw = a_exact - (-s.gg / gAd)
@@ -452,7 +452,7 @@ def _beta_agreement(s: _Stacked, tol: float) -> tuple[CheckResult, ...]:
     y = g - s.G[:-1]
     gg, pp = s.gg[1:], s.gg[:-1]
     gy, dy = _rowdot(g, y), _rowdot(d_prev, y)
-    broken = (pp <= EPS_DENOMINATOR) | (np.abs(dy) <= EPS_DENOMINATOR)
+    broken = _vanishes(pp, signed=False) | _vanishes(dy, signed=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.stack([gg / pp, gy / dy, gy / pp, gg / dy])  # FR, HS, PRP, DY
         peak = np.abs(values).max(axis=0)

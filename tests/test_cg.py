@@ -5,8 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cgkit import (
+    EPS_DENOMINATOR,
     BetaRule,
     BreakdownError,
     BuiltinProblemSpec,
@@ -168,6 +172,111 @@ class TestStepsizeOrthogonal:
     def test_degenerate_denominator(self):
         with pytest.raises(BreakdownError):
             stepsize_orthogonal(G0, np.zeros(2))
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+_RULES = ("exact", "orthogonal", "fr", "hs", "prp", "dy")
+
+
+def _public(rule: str, u, v, w) -> float:
+    """The public formula of ``rule``, on ``(g, d, Ad)`` for a stepsize
+    rule and on ``(g_k, g_prev, d_prev)`` for a coupling rule."""
+    if rule == "exact":
+        return stepsize_exact(u, v, w)
+    if rule == "orthogonal":
+        return stepsize_orthogonal(u, w)
+    return beta(rule, u, v, w)
+
+
+def _written(rule: str, u, v, w) -> tuple[float | None, str | None]:
+    """:func:`_public` written out: the value, or None and the breakdown
+    text it owes."""
+    if rule == "exact":
+        den = float(np.dot(v, w))
+        if den <= EPS_DENOMINATOR:
+            return None, (f"exact-stepsize denominator d.Ad = {den:.3e} is numerically "
+                          "zero or negative")
+        return -float(np.dot(u, v)) / den, None
+    if rule == "orthogonal":
+        den = float(np.dot(u, w))
+        if abs(den) <= EPS_DENOMINATOR:
+            return None, ("orthogonality-stepsize denominator g.Ad = "
+                          f"{den:.3e} is numerically zero")
+        return -float(np.dot(u, u)) / den, None
+    y = u - v
+    gg, gy = float(np.dot(u, u)), float(np.dot(u, y))
+    if rule in ("fr", "prp"):
+        den = float(np.dot(v, v))
+        if den <= EPS_DENOMINATOR:
+            return None, (f"{rule.upper()} denominator ||g_prev||^2 = {den:.3e} "
+                          "is numerically zero")
+    else:
+        den = float(np.dot(w, y))
+        if abs(den) <= EPS_DENOMINATOR:
+            return None, (f"{rule.upper()} denominator d_prev.(g_k - g_prev) = "
+                          f"{den:.3e} is numerically zero")
+    return (gg if rule in ("fr", "dy") else gy) / den, None
+
+
+_VECTORS = st.integers(1, 8).flatmap(lambda n: st.tuples(*[arrays(
+    np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False))] * 3))
+
+
+class TestOneFormulaPerRule:
+    """The public formulas and the solver give the written-out stepsizes and
+    couplings bit for bit, and word each breakdown alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VECTORS)
+    def test_each_rule_equals_its_written_formula(self, vectors):
+        for rule in _RULES:
+            value, message = _written(rule, *vectors)
+            if message is None:
+                assert _bits(_public(rule, *vectors)) == _bits(value)
+            else:
+                assert_refused(lambda: _public(rule, *vectors), BreakdownError, message)
+
+    @pytest.mark.parametrize("rule, vectors", [
+        ("exact", (G0, np.zeros(2), np.zeros(2))), ("orthogonal", (G0, D0, np.zeros(2))),
+        ("fr", (G1, np.zeros(2), D0)), ("hs", (G1, G1, D0)),
+        ("prp", (G1, np.zeros(2), D0)), ("dy", (G1, G1, D0)),
+    ], ids=_RULES)
+    def test_zero_denominators_are_worded_as_written(self, rule, vectors):
+        value, message = _written(rule, *vectors)
+        assert value is None
+        assert_refused(lambda: _public(rule, *vectors), BreakdownError, message)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 12),
+           stepsize=st.sampled_from(["exact", "orthogonal"]),
+           rule=st.sampled_from(["fr", "hs", "prp", "dy"]),
+           update=st.sampled_from(["recurrence", "explicit"]))
+    def test_a_traced_solve_steps_by_the_written_formulas(self, seed, n, stepsize, rule,
+                                                          update):
+        problem = make_spd_problem(np.geomspace(1.0, 1e3, n), seed)
+        _, trace = solve(problem, config=SolverConfig(
+            stepsize_rule=stepsize, beta_rule=rule, gradient_update=update))
+        prev = None
+        for g, d, Ad, alpha, beta_k in trace.steps("G", "D", "AD", "alpha", "beta"):
+            assert _bits(alpha) == _bits(_written(stepsize, g, d, Ad)[0])
+            if prev is not None:
+                assert _bits(beta_k) == _bits(_written(rule, g, *prev)[0])
+            prev = g, d
+
+    @pytest.mark.parametrize("stepsize", ["exact", "orthogonal"])
+    def test_a_solve_breaks_down_in_the_written_words(self, stepsize):
+        # the 1 x 1 matrix [1e-305]: both denominators of step 0 are below
+        # EPS_DENOMINATOR
+        problem = QuadraticProblem(MatrixSPD.from_dense([[1e-305]]), [1.0])
+        _, trace = solve(problem, config=SolverConfig(stepsize_rule=stepsize))
+        g = np.array([1.0])
+        value, message = _written(stepsize, g, -g, -1e-305 * g)
+        assert value is None
+        assert trace.termination_reason is TerminationReason.BREAKDOWN
+        assert trace.breakdown == f"{message} (iteration 0)"
 
 
 class TestStep:
@@ -819,6 +928,13 @@ def _trace_numbered(*ks):
      "direction operands must share one length"),
     (lambda: _trace_numbered(0, 2), ValueError,
      "records[1] has k=2; indices must be contiguous"),
-], ids=["direction-without-beta", "direction-lengths", "trace-numbered-0-2"])
+    (lambda: beta("fr", G1, G0, np.ones(3)), DimensionError,
+     "beta operands must be 1-D and share one length"),
+    (lambda: stepsize_exact(G0, np.eye(2), AD0), DimensionError,
+     "stepsize operands must be 1-D and share one length"),
+    (lambda: stepsize_orthogonal(G0, AD1[:1]), DimensionError,
+     "stepsize operands must be 1-D and share one length"),
+], ids=["direction-without-beta", "direction-lengths", "trace-numbered-0-2",
+        "beta-lengths", "stepsize-matrix", "stepsize-lengths"])
 def test_typed_refusals(call, error, message):
     assert_refused(call, error, message)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -490,6 +491,36 @@ class TestUnreadProblemOptions:
         err = capsys.readouterr().err
         assert code == 1
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, options, message", [
+        ("solve", ("--include-vectors",), "--include-vectors works with --output"),
+        ("solve", ("--format", "structured"), "--format works with --output"),
+        ("solve", ("--no-timestamp",), "--no-timestamp works with --output"),
+        ("solve", ("--include-vectors", "--format", "tabular", "--output", "t.csv"),
+         "--include-vectors works with --format structured"),
+        ("verify", ("--include-vectors",), "--include-vectors works with --output"),
+        ("verify", ("--no-timestamp",), "--no-timestamp works with --output"),
+    ], ids=["solve-vectors", "solve-format", "solve-no-timestamp", "solve-vectors-tabular",
+            "verify-vectors", "verify-no-timestamp"])
+    def test_document_options_refused(self, tmp_path, monkeypatch, capsys, command,
+                                      options, message):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(command, "--builtin", "laplacian1d", "--n", "5", *options)
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_option_of_the_table_is_read_where_it_is_accepted(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        documents = {"--include-vectors": {"solve", "verify"},
+                     "--no-timestamp": {"solve", "verify"}, "--format": {"solve"}}
+        for flag, _, _ in cli._WORKS_WITH:
+            # the loop reads the option under this name
+            dest = flag[2:].replace("-", "_")
+            accepting = {name for name, parser in commands.items()
+                         for action in parser._actions
+                         if flag in action.option_strings and action.dest == dest}
+            assert accepting == documents.get(flag, set(commands)), flag
 
     def test_options_the_source_reads_still_work(self, mtx):
         assert run_cli("solve", "--matrix", mtx, "--b", "random", "--b-seed", "3") == 0

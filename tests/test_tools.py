@@ -61,22 +61,30 @@ def test_gate_names_the_json_members_that_differ():
     assert gate.json_differences(None, new) == []
 
 
-@pytest.mark.parametrize("name, printed", [
+@pytest.mark.parametrize("name, printed, code, stderr", [
     ("help-solve", [b"usage: cgkit solve ", b"--stepsize {exact,orthogonal}",
                     b"--beta {fr,hs,prp,dy}", b"--grad-update {recurrence,explicit}",
-                    b"--format {structured,tabular}"]),
+                    b"--format {structured,tabular}"], 0, b""),
     ("help-generate", [b"usage: cgkit generate ", b"--dist {loguniform,linear,clustered}",
                        b"(default: loguniform)", b"(default: 2)",
-                       b"--mtx-format {coordinate,array}"]),
-    ("solve-untraced", [b"iterations: 100\ntermination: gradient_below_tolerance\n"]),
-    ("verify-diagonal-known", [b"report written to out.json\n", b"overall: PASS"]),
-    ("solve-clustered-orthogonal-dy", [b"trace written to out.json\n"]),
+                       b"--mtx-format {coordinate,array}"], 0, b""),
+    ("solve-untraced", [b"iterations: 100\ntermination: gradient_below_tolerance\n"], 0, b""),
+    ("verify-diagonal-known", [b"report written to out.json\n", b"overall: PASS"], 0, b""),
+    ("solve-clustered-orthogonal-dy", [b"trace written to out.json\n"], 0, b""),
+    ("solve-breakdown-exact", [b"trace written to out.json\n", b"termination: breakdown\n"],
+     3, b"breakdown: exact-stepsize denominator d.Ad = 1.000e-305 is numerically zero "
+        b"or negative (iteration 0)\n"),
+    ("solve-breakdown-orthogonal", [b"trace written to out.json\n",
+                                    b"termination: breakdown\n"],
+     3, b"breakdown: orthogonality-stepsize denominator g.Ad = -1.000e-305 is "
+        b"numerically zero (iteration 0)\n"),
 ])
-def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed):
+def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, code,
+                                          stderr):
     gate = _load_tool("gate")
     monkeypatch.setattr(gate, "COMMANDS", [c for c in gate.COMMANDS if c[0] == name])
-    (code, stdout, stderr, written), = gate.run(ROOT, tmp_path).values()
-    assert (code, stderr) == (0, b"")
+    (got_code, stdout, got_stderr, written), = gate.run(ROOT, tmp_path).values()
+    assert (got_code, got_stderr) == (code, stderr)
     assert [text for text in printed if text not in stdout] == []
     if name == "verify-diagonal-known":  # b = -A x* plants x* = (1, -2, 0.5, 3)
         final = json.loads(written[0])["final"]
@@ -84,6 +92,8 @@ def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed):
     elif name == "solve-clustered-orthogonal-dy":
         config = json.loads(written[0])["metadata"]["config"]
         assert (config["stepsize_rule"], config["beta_rule"]) == ("orthogonal", "dy")
+    elif name.startswith("solve-breakdown-"):  # a document of no step
+        assert json.loads(written[0])["final"]["iterations"] == 0
     else:
         assert written == ()
 

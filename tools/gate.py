@@ -14,8 +14,9 @@ and exit codes are compared byte for byte; where an output file differs
 and both sides parse as JSON, the first paths at which they differ are
 printed too.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``), ``P.mtx``
-(``shuffled_path_mtx``) and ``b.txt`` (``grid_b_txt``), the files that the
-``--matrix`` and ``--b-file`` commands read.
+(``shuffled_path_mtx``), ``T.mtx`` (``TINY_MTX``) and ``b.txt``
+(``grid_b_txt``), the files that the ``--matrix`` and ``--b-file``
+commands read.
 Exit status: 0 when every command agrees, 1 otherwise.
 """
 
@@ -47,8 +48,9 @@ COMMANDS = (
      "out.json"),
     ("solve-vectors-json", ["solve", "--builtin", "laplacian1d", "--n", "300",
                             "--include-vectors"], "out.json"),
-    ("solve-vectors-tabular", ["solve", "--builtin", "laplacian1d", "--n", "300",
-                               "--include-vectors", "--format", "tabular"], "out.csv"),
+    # the tabular writer, which has no column for vectors
+    ("solve-tabular", ["solve", "--builtin", "laplacian1d", "--n", "300",
+                       "--format", "tabular"], "out.csv"),
     ("verify-random-n500-vectors", ["verify", "--builtin", "random_spd", "--n", "500",
                                     "--cond", "100", "--b", "random",
                                     "--include-vectors"], "out.json"),
@@ -102,7 +104,18 @@ COMMANDS = (
     ("verify-random-n50-linear", ["verify", "--builtin", "random_spd", "--n", "50",
                                   "--cond", "10", "--dist", "linear", "--seed", "0",
                                   "--b", "random", "--b-seed", "0"], "out.json"),
+    # the wording of each stepsize's breakdown, at the first step on the 1 x 1
+    # matrix [1e-305], whose denominators fall below EPS_DENOMINATOR
+    ("solve-breakdown-exact", ["solve", "--matrix", "T.mtx", "--stepsize", "exact"],
+     "out.json"),
+    ("solve-breakdown-orthogonal", ["solve", "--matrix", "T.mtx", "--stepsize",
+                                    "orthogonal"], "out.json"),
 )
+
+
+# the 1 x 1 matrix [1e-305]: SPD, but every stepsize denominator of its
+# first step is below EPS_DENOMINATOR, so each rule breaks down there
+TINY_MTX = "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1e-305\n"
 
 
 def grid_general_mtx() -> str:
@@ -164,6 +177,7 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
         cwd.mkdir(parents=True)
         (cwd / "A.mtx").write_text(grid_general_mtx())
         (cwd / "P.mtx").write_text(shuffled_path_mtx())
+        (cwd / "T.mtx").write_text(TINY_MTX)
         (cwd / "b.txt").write_bytes(grid_b_txt().encode())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args], cwd=cwd, capture_output=True,

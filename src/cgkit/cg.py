@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BreakdownError, DimensionError, IncompleteTraceError,
-                     ProblemSpecError)
-from .linalg import MatrixSPD, _certified_solve, _check_nonnegative, as_vector, dot
+from .errors import BreakdownError, IncompleteTraceError
+from .linalg import (MatrixSPD, _certified_solve, _check_count, _check_nonnegative,
+                     _matrix, _operands, as_vector, dot)
 
 __all__ = [
     "StepsizeRule",
@@ -112,9 +112,7 @@ class QuadraticProblem:
     __slots__ = ("A", "b", "_x_star")
 
     def __init__(self, A: MatrixSPD, b):
-        if not isinstance(A, MatrixSPD):
-            A = MatrixSPD.from_dense(A)
-        self.A = A
+        self.A = A = _matrix(A)
         self.b = np.array(as_vector(b, A.n, name="b"))
         self.b.setflags(write=False)
         self._x_star = _certified_solve(A, -self.b)
@@ -158,8 +156,8 @@ class SolverConfig:
     ``grad_tolerance=None`` resolves to ``1e-12 * ||g_0||`` at solve time;
     ``max_iterations=None`` resolves to the problem dimension ``n`` (the
     exact-arithmetic termination bound; pass ``2 * n`` for ill-conditioned
-    floating-point runs).  A negative tolerance or a cap below 1 raises
-    :class:`~cgkit.errors.ProblemSpecError`.
+    floating-point runs).  A negative tolerance, or a cap that is not an
+    integer of at least 1, raises :class:`~cgkit.errors.ProblemSpecError`.
     """
 
     stepsize_rule: StepsizeRule = StepsizeRule.EXACT_LINE_SEARCH
@@ -174,8 +172,9 @@ class SolverConfig:
         object.__setattr__(self, "beta_rule", BetaRule(self.beta_rule))
         object.__setattr__(self, "gradient_update", GradientUpdate(self.gradient_update))
         _check_nonnegative(self.grad_tolerance, "grad_tolerance")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ProblemSpecError("max_iterations must be at least 1")
+        if self.max_iterations is not None:
+            object.__setattr__(self, "max_iterations",
+                               _check_count(self.max_iterations, "max_iterations"))
 
 
 @dataclass(frozen=True)
@@ -354,16 +353,6 @@ def beta(rule: BetaRule, g_k, g_prev, d_prev) -> float:
                  float(np.dot(g_prev, g_prev)), np.empty_like(g_k))
 
 
-def _operands(what: str, *vectors) -> list[np.ndarray]:
-    """The public formulas' one operand check: float64 arrays of
-    ``vectors``, refused with :class:`DimensionError` unless they are 1-D
-    and of one length."""
-    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
-        raise DimensionError(f"{what} operands must be 1-D and share one length")
-    return arrays
-
-
 def _vanishes(den, signed: bool):
     """The breakdown guard of a denominator, elementwise on arrays: true at
     or below ``EPS_DENOMINATOR``.  A ``signed`` denominator (g.Ad,
@@ -391,14 +380,17 @@ def _beta(rule: BetaRule, g_k, g_prev, d_prev, gg: float, gg_prev: float,
 
 
 def direction(g_k, beta_k: float | None = None, d_prev=None) -> np.ndarray:
-    """Search direction: ``-g_0`` at k=0, else ``-g_k + beta_k * d_prev``."""
-    g_k = np.asarray(g_k, dtype=np.float64)
-    if d_prev is not None:
-        if beta_k is None:
-            raise ValueError("beta_k is required when d_prev is given")
-        d_prev = np.asarray(d_prev, dtype=np.float64)
-        if d_prev.shape != g_k.shape:
-            raise DimensionError("direction operands must share one length")
+    """Search direction: ``-g_0`` at k=0, else ``-g_k + beta_k * d_prev``.
+
+    ``beta_k`` and ``d_prev`` are given together or not at all."""
+    if d_prev is None:
+        if beta_k is not None:
+            raise ValueError("d_prev is required when beta_k is given")
+        g_k, = _operands("direction", g_k)
+    elif beta_k is None:
+        raise ValueError("beta_k is required when d_prev is given")
+    else:
+        g_k, d_prev = _operands("direction", g_k, d_prev)
     return _direction(g_k, d_prev, beta_k, np.empty_like(g_k), np.empty_like(g_k))
 
 

@@ -15,6 +15,7 @@ Exit codes: 0 success / all checks pass; 1 file, parse or SPD errors;
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from .cg import (DEFAULT_RELATIVE_TOLERANCE, QuadraticProblem, SolverConfig,
@@ -106,9 +107,16 @@ def _add_output_arguments(parser: argparse.ArgumentParser, what: str) -> None:
 
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list, read as a vector file of one
+    field a line.  A field that ``float`` refuses, a blank one too, is
+    refused in ``float``'s words; any other outside the vector file's
+    syntax (``1_0``, ``+2``, a non-ASCII digit) in the reader's."""
+    fields = text.split(",")
     try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as err:
+        for field in fields:
+            float(field)
+        return tuple(read_vector_file(io.StringIO("\n".join(fields))).tolist())
+    except ValueError as err:  # MatrixMarketError is a ValueError
         raise CgKitError(f"{flag} expects comma-separated numbers: {err}") from None
 
 
@@ -157,23 +165,20 @@ def _build_problem(args) -> tuple[QuadraticProblem, dict]:
         return QuadraticProblem(a, b), description
 
     family = args.builtin
+    required = "--eigs" if family == "diagonal" else "--n"
+    if getattr(args, required[2:]) is None:
+        raise CgKitError(f"--builtin {family} requires {required}")
     eigenvalues = None
     spectrum = None
     n = args.n
     if family == "diagonal":
-        if args.eigs is None:
-            raise CgKitError("--builtin diagonal requires --eigs")
         eigenvalues = _parse_floats(args.eigs, "--eigs")
         n = len(eigenvalues) if n is None else n
     elif family == "random_spd":
-        if n is None:
-            raise CgKitError("--builtin random_spd requires --n")
         cond = args.cond if args.cond is not None else 10.0
         spectrum = SpectrumSpec(
             lam_min=1.0, lam_max=cond, distribution=args.dist or SpectrumSpec.distribution,
             clusters=SpectrumSpec.clusters if args.clusters is None else args.clusters)
-    elif n is None:
-        raise CgKitError(f"--builtin {family} requires --n")
 
     spec = BuiltinProblemSpec(family=family, n=n, eigenvalues=eigenvalues,
                               spectrum=spectrum, seed=args.seed or 0, b_mode=b_mode,

@@ -55,6 +55,15 @@ BAND_BUDGET = 2**27
 SYMMETRY_RTOL = 1e-12
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as a Python int, which a document can serialize; anything
+    but an integer (Python or NumPy, not a bool) of at least 1 is refused
+    with :class:`ProblemSpecError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ProblemSpecError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 def _check_nonnegative(value, name: str) -> None:
     """Refuse a negative or NaN ``value`` (None passes) with
     :class:`ProblemSpecError`."""
@@ -201,18 +210,29 @@ def _check_symmetry(asym: float, peak: float) -> None:
             f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * peak:.3e}")
 
 
+def _matrix(a) -> MatrixSPD:
+    """The one conversion of a matrix operand: ``a`` itself, or a raw array
+    validated by :meth:`MatrixSPD.from_dense`."""
+    return a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+
+
+def _operands(what: str, *vectors) -> list[np.ndarray]:
+    """The one check of vector operands: float64 arrays of ``vectors``,
+    refused with :class:`DimensionError` unless they are 1-D and of one
+    length."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise DimensionError(f"{what} operands must be 1-D and share one length")
+    return arrays
+
+
 def dot(u, v) -> float:
     """Inner product with 64-bit accumulation.
 
-    Raises :class:`DimensionError` when lengths differ.
+    Raises :class:`DimensionError` unless both operands are 1-D and of one
+    length.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1:
-        raise DimensionError("dot expects 1-D operands")
-    if u.size != v.size:
-        raise DimensionError(f"length mismatch: {u.size} vs {v.size}")
-    return float(np.dot(u, v))
+    return float(np.dot(*_operands("dot", u, v)))
 
 
 def matvec(a: MatrixSPD, x) -> np.ndarray:
@@ -228,7 +248,7 @@ def spd_validate(a) -> None:
     too small, and ``CgKitError`` when the band of a CSR matrix would exceed
     ``BAND_BUDGET``.  The certificate is the absence of an error; the
     factor is dropped."""
-    _cholesky(a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a))
+    _cholesky(_matrix(a))
 
 
 def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
@@ -426,13 +446,12 @@ class SpectrumSpec:
             raise ProblemSpecError(
                 f"unknown distribution {self.distribution!r}; "
                 f"expected one of {self._DISTRIBUTIONS}")
-        if self.distribution == "clustered" and self.clusters < 1:
-            raise ProblemSpecError("clusters must be at least 1")
+        if self.distribution == "clustered":
+            object.__setattr__(self, "clusters", _check_count(self.clusters, "clusters"))
 
     def materialize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Concrete sorted eigenvalue array of length ``n``."""
-        if n < 1:
-            raise ProblemSpecError("n must be at least 1")
+        _check_count(n, "n")
         if self.eigenvalues is not None:
             if len(self.eigenvalues) != n:
                 raise ProblemSpecError(
@@ -465,8 +484,7 @@ def generate_spd(n: int, spec: SpectrumSpec, seed: int) -> MatrixSPD:
     Algorithms*, 19.3), so each eigenvalue is planted within a small
     multiple of eps * lam_max.
     """
-    if n < 1:
-        raise ProblemSpecError("n must be at least 1")
+    _check_count(n, "n")
     _check_nonnegative(seed, "seed")  # NumPy's generators take no other seed
     rng = np.random.default_rng(seed)
     lams = spec.materialize(n, rng)
@@ -484,5 +502,5 @@ def solve_direct(a, rhs) -> np.ndarray:
     :class:`~cgkit.cg.QuadraticProblem` its minimizer, so
     ``solve_direct(p.A, -p.b)`` equals ``p.direct_solution()`` bit for bit.
     """
-    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    m = _matrix(a)
     return _certified_solve(m, as_vector(rhs, m.n, name="right-hand side"))

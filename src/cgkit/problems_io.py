@@ -23,8 +23,8 @@ import numpy as np
 from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
                      ProblemSpecError)
-from .linalg import (MatrixSPD, SpectrumSpec, _check_nonnegative, as_vector,
-                     generate_spd, spd_validate)
+from .linalg import (MatrixSPD, SpectrumSpec, _check_count, _check_nonnegative,
+                     as_vector, generate_spd, spd_validate)
 from .verify import CheckResult, VerificationReport
 
 __all__ = [
@@ -87,8 +87,7 @@ class BuiltinProblemSpec:
         if self.family not in BUILTIN_FAMILIES:
             raise ProblemSpecError(
                 f"unknown family {self.family!r}; expected one of {BUILTIN_FAMILIES}")
-        if self.n < 1:
-            raise ProblemSpecError("n must be at least 1")
+        object.__setattr__(self, "n", _check_count(self.n, "n"))
         if self.family == "hilbert" and self.n > HILBERT_MAX_ORDER:
             raise ProblemSpecError(
                 f"hilbert problems are restricted to n <= {HILBERT_MAX_ORDER}")

@@ -55,7 +55,7 @@ from .cg import (
     stepsize_orthogonal,
 )
 from .errors import BreakdownError, IncompleteTraceError
-from .linalg import DENSIFY_CAP, MatrixSPD, _check_nonnegative
+from .linalg import DENSIFY_CAP, MatrixSPD, _check_nonnegative, _matrix
 
 __all__ = [
     "IdentityResidual",
@@ -216,7 +216,7 @@ def estimate_condition(a: MatrixSPD | np.ndarray) -> float | None:
     recorded steps, which this exact value bounds from above.  A raw
     array ``a`` is validated by :meth:`MatrixSPD.from_dense` first.
     """
-    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    m = _matrix(a)
     if m.n > DENSIFY_CAP:
         return None
     vals = np.linalg.eigvalsh(m.to_dense())
@@ -492,7 +492,7 @@ def check_gradient_conjugacy(trace: IterationTrace, a,
     The products ``A g_k`` of all recorded gradients are one block product.
     A raw array ``a`` is validated by :meth:`MatrixSPD.from_dense` first.
     """
-    m = a if isinstance(a, MatrixSPD) else MatrixSPD.from_dense(a)
+    m = _matrix(a)
     return _identity_report(trace, tolerance, lambda s, tol: _gradient_conjugacy(s, m, tol),
                             "gradient-conjugacy check")
 

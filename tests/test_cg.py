@@ -29,6 +29,7 @@ from cgkit import (
     beta,
     builtin_problem,
     direction,
+    dot,
     gradient,
     initial_record,
     objective,
@@ -925,7 +926,7 @@ def _trace_numbered(*ks):
     (lambda: direction([1.0, 2.0], d_prev=[1.0, 1.0]), ValueError,
      "beta_k is required when d_prev is given"),
     (lambda: direction([1.0, 2.0], 0.5, [1.0, 1.0, 1.0]), DimensionError,
-     "direction operands must share one length"),
+     "direction operands must be 1-D and share one length"),
     (lambda: _trace_numbered(0, 2), ValueError,
      "records[1] has k=2; indices must be contiguous"),
     (lambda: beta("fr", G1, G0, np.ones(3)), DimensionError,
@@ -938,3 +939,28 @@ def _trace_numbered(*ks):
         "beta-lengths", "stepsize-matrix", "stepsize-lengths"])
 def test_typed_refusals(call, error, message):
     assert_refused(call, error, message)
+
+
+@pytest.mark.parametrize("what, call", [
+    ("dot", lambda u, v: dot(u, v)),
+    ("direction", lambda u, v: direction(u, 0.5, v)),
+    ("beta", lambda u, v: beta("hs", u, u, v)),
+    ("stepsize", lambda u, v: stepsize_exact(u, u, v)),
+    ("stepsize", lambda u, v: stepsize_orthogonal(u, v)),
+], ids=["dot", "direction", "beta", "stepsize-exact", "stepsize-orthogonal"])
+@pytest.mark.parametrize("u, v", [
+    (np.eye(2), np.eye(2)),
+    (np.ones(2), np.eye(2)),
+    (np.ones(2), np.ones(3)),
+], ids=["2d", "2d-second", "lengths"])
+def test_one_operand_check(what, call, u, v):
+    # every public formula refuses its vector operands with one text
+    assert_refused(lambda: call(u, v), DimensionError,
+                   f"{what} operands must be 1-D and share one length")
+
+
+def test_direction_takes_beta_and_d_prev_together():
+    assert_refused(lambda: direction(G1, 4 / 81), ValueError,
+                   "d_prev is required when beta_k is given")
+    assert_refused(lambda: direction(np.eye(2)), DimensionError,
+                   "direction operands must be 1-D and share one length")

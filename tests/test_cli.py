@@ -592,3 +592,29 @@ def test_typed_refusals(capsys, flags, message):
     code = run_cli("verify", *flags)
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    # each field in a vector file's syntax, not in all that float reads
+    ("--eigs", "1_0,+2,\u0661", "line 1: malformed number in '1_0'"),
+    ("--eigs", "1,+2", "line 2: malformed number in '+2'"),
+    ("--eigs", "1,\u0661", "line 2: malformed number in '?'"),
+    ("--known-solution", "1_0,1", "line 1: malformed number in '1_0'"),
+    # a field that float refuses too is refused in its words, blank ones too
+    ("--eigs", "1_0,x", "could not convert string to float: 'x'"),
+    ("--eigs", "1,,2", "could not convert string to float: ''"),
+    ("--known-solution", "1,", "could not convert string to float: ''"),
+], ids=["eigs-underscore", "eigs-plus", "eigs-non-ascii-digit", "known-solution-underscore",
+        "float-refuses-too", "eigs-blank", "known-solution-blank"])
+def test_number_lists_take_the_vector_file_syntax(capsys, flag, text, message):
+    source = ("--eigs", "1,2") if flag == "--known-solution" else ()
+    code = run_cli("verify", "--builtin", "diagonal", *source, f"{flag}={text}")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} expects comma-separated numbers: {message}\n")
+
+
+def test_number_lists_read_each_accepted_form_as_float_does():
+    text = " 1e0,2.,.5,4E-1,-0,1e-320,-2.5E+3,inf,-nan,3 "
+    got = cli._parse_floats(text, "--eigs")
+    assert np.array(got).tobytes() == np.array([float(v) for v in text.split(",")]).tobytes()

@@ -19,9 +19,11 @@ from cgkit import (
     NotPositiveDefiniteError,
     ProblemSpecError,
     QuadraticProblem,
+    SolverConfig,
     SpectrumSpec,
     SymmetryError,
     builtin_problem,
+    check_gradient_conjugacy,
     dot,
     estimate_condition,
     generate_spd,
@@ -33,7 +35,7 @@ from cgkit import (
     spd_validate,
 )
 from cgkit.linalg import as_vector
-from conftest import assert_refused
+from conftest import assert_refused, make_spd_problem
 
 
 class TestDot:
@@ -835,17 +837,19 @@ _RANGE = SpectrumSpec(lam_min=1.0, lam_max=2.0)
     (lambda: MatrixSPD.from_dense(np.eye(2)).csr_arrays, CgKitError,
      "matrix is not stored in CSR form"),
     (lambda: as_vector(np.eye(2)), DimensionError, "vector must be 1-D, got shape (2, 2)"),
-    (lambda: dot(np.eye(2), np.ones(2)), DimensionError, "dot expects 1-D operands"),
+    (lambda: dot(np.eye(2), np.ones(2)), DimensionError,
+     "dot operands must be 1-D and share one length"),
     (lambda: SpectrumSpec(eigenvalues=(1.0,), lam_min=1.0), ProblemSpecError,
      "give either explicit eigenvalues or a range, not both"),
     (lambda: SpectrumSpec(eigenvalues=()), ProblemSpecError, "eigenvalue list is empty"),
     (lambda: SpectrumSpec(lam_min=1.0, lam_max=np.inf), ProblemSpecError,
      "eigenvalue bounds must be finite"),
     (lambda: SpectrumSpec(lam_min=1.0, lam_max=2.0, distribution="clustered", clusters=0),
-     ProblemSpecError, "clusters must be at least 1"),
+     ProblemSpecError, "clusters must be an integer of at least 1, got 0"),
     (lambda: _RANGE.materialize(0, np.random.default_rng(0)), ProblemSpecError,
-     "n must be at least 1"),
-    (lambda: generate_spd(0, _RANGE, 0), ProblemSpecError, "n must be at least 1"),
+     "n must be an integer of at least 1, got 0"),
+    (lambda: generate_spd(0, _RANGE, 0), ProblemSpecError,
+     "n must be an integer of at least 1, got 0"),
     # a raw array reaches estimate_condition through MatrixSPD.from_dense
     (lambda: estimate_condition(np.array([[1.0, 5.0], [0.0, 1.0]])), SymmetryError,
      "matrix is not symmetric: max |A_ij - A_ji| = 5.000e+00 exceeds 1e-12 * max|A| "
@@ -861,3 +865,43 @@ _RANGE = SpectrumSpec(lam_min=1.0, lam_max=2.0)
         "condition-of-asymmetric", "condition-of-nan", "condition-of-1d"])
 def test_typed_refusals(call, error, message):
     assert_refused(call, error, message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: QuadraticProblem(a, np.ones(2)),
+    spd_validate,
+    lambda a: solve_direct(a, np.ones(2)),
+    lambda a: check_gradient_conjugacy(solve(make_spd_problem([1.0, 2.0], 0))[1], a),
+    estimate_condition,
+], ids=["quadratic-problem", "spd-validate", "solve-direct", "gradient-conjugacy",
+        "estimate-condition"])
+def test_raw_matrix_operands_go_through_from_dense(call):
+    assert_refused(lambda: call(np.ones((2, 3))), DimensionError,
+                   "expected a square matrix, got shape (2, 3)")
+
+
+# each count site, as a call of the count alone
+_COUNT_SITES = {
+    "builtin-n": ("n", lambda k: builtin_problem(BuiltinProblemSpec(family="hilbert", n=k)).n),
+    "materialize-n": ("n", lambda k: _RANGE.materialize(k, np.random.default_rng(0)).size),
+    "generate-spd-n": ("n", lambda k: generate_spd(k, _RANGE, 0).n),
+    "clusters": ("clusters", lambda k: SpectrumSpec(
+        lam_min=1.0, lam_max=2.0, distribution="clustered", clusters=k).clusters),
+    "max-iterations": ("max_iterations", lambda k: solve(
+        builtin_problem(BuiltinProblemSpec(family="hilbert", n=5)),
+        config=SolverConfig(max_iterations=k))[1].terminated_at),
+}
+
+
+@pytest.mark.parametrize("site", list(_COUNT_SITES))
+@pytest.mark.parametrize("value", [2.5, 0, True, "3", np.float64(3.0)],
+                         ids=["2.5", "0", "bool", "str", "float64"])
+def test_counts_are_integers_of_at_least_1(site, value):
+    name, call = _COUNT_SITES[site]
+    assert_refused(lambda: call(value), ProblemSpecError,
+                   f"{name} must be an integer of at least 1, got {value!r}")
+
+
+@pytest.mark.parametrize("site", list(_COUNT_SITES))
+def test_numpy_integer_counts_are_accepted(site):
+    assert _COUNT_SITES[site][1](np.int64(3)) == 3

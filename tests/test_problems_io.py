@@ -840,7 +840,8 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (_spec(family="laplacian1d", n=0), ProblemSpecError, "n must be at least 1"),
+    (_spec(family="laplacian1d", n=0), ProblemSpecError,
+     "n must be an integer of at least 1, got 0"),
     (_spec(family="diagonal", n=3, eigenvalues=(1.0, 2.0)), ProblemSpecError,
      "diagonal problem of order 3 got 2 eigenvalues"),
     (_spec(family="diagonal", n=2, eigenvalues=(1.0, 0.0)), ProblemSpecError,
@@ -863,3 +864,19 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
         "read-header-and-comments", "read-negative-entry-count", "write-csc"])
 def test_typed_refusals(call, error, message):
     assert_refused(call, error, message)
+
+
+def test_numpy_integer_counts_are_written_as_ints():
+    # each count is stored as a Python int, which the JSON writer takes
+    spectrum = SpectrumSpec(lam_min=1.0, lam_max=2.0, distribution="clustered",
+                            clusters=np.int64(2))
+    spec = BuiltinProblemSpec(family="random_spd", n=np.int64(4), spectrum=spectrum)
+    config = SolverConfig(max_iterations=np.int64(3))
+    problem = builtin_problem(spec)
+    _, trace = solve(problem, config=config)
+    stream = io.StringIO()
+    write_trace(TraceDocument.from_solve(problem, config, trace,
+                                         problem_description=spec.describe()), stream)
+    meta = json.loads(stream.getvalue())["metadata"]
+    assert (meta["problem"]["n"], meta["problem"]["spectrum"]["clusters"],
+            meta["config"]["max_iterations"]) == (4, 2, 3)

@@ -78,6 +78,9 @@ def test_gate_names_the_json_members_that_differ():
                                     b"termination: breakdown\n"],
      3, b"breakdown: orthogonality-stepsize denominator g.Ad = -1.000e-305 is "
         b"numerically zero (iteration 0)\n"),
+    ("solve-builtin-without-n", [], 1, b"error: --builtin hilbert requires --n\n"),
+    ("verify-diagonal-number-forms", [b"report written to out.json\n", b"overall: PASS"],
+     0, b""),
 ])
 def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, code,
                                           stderr):
@@ -94,6 +97,9 @@ def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, 
         assert (config["stepsize_rule"], config["beta_rule"]) == ("orthogonal", "dy")
     elif name.startswith("solve-breakdown-"):  # a document of no step
         assert json.loads(written[0])["final"]["iterations"] == 0
+    elif name == "verify-diagonal-number-forms":
+        problem = json.loads(written[0])["metadata"]["problem"]
+        assert problem["eigenvalues"] == [1.0, 2.0, 0.5, 0.4, 3.0]
     else:
         assert written == ()
 

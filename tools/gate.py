@@ -110,6 +110,11 @@ COMMANDS = (
      "out.json"),
     ("solve-breakdown-orthogonal", ["solve", "--matrix", "T.mtx", "--stepsize",
                                     "orthogonal"], "out.json"),
+    # the refusal of a builtin family without the option that sizes it
+    ("solve-builtin-without-n", ["solve", "--builtin", "hilbert"], ()),
+    # each number form that a comma-separated list takes, read to its bits
+    ("verify-diagonal-number-forms", ["verify", "--builtin", "diagonal", "--eigs",
+                                      "1e0,2.,.5,4E-1,3"], "out.json"),
 )
 
 

@@ -71,6 +71,23 @@ def _check_nonnegative(value, name: str) -> None:
         raise ProblemSpecError(f"{name} must be nonnegative, got {value!r}")
 
 
+def _number_list(values, what: str, *, n: int | None = None,
+                 positive: bool = False) -> tuple[float, ...]:
+    """``values`` as a tuple of Python floats, which a document can
+    serialize; an empty list, one whose length is not ``n`` (when given), a
+    non-finite value and, when ``positive``, a value <= 0 are refused with
+    :class:`ProblemSpecError`."""
+    vals = tuple(map(float, values))
+    if not vals:
+        raise ProblemSpecError(f"{what} must not be empty")
+    if n is not None and len(vals) != n:
+        raise ProblemSpecError(f"{what} must number {n}, got {len(vals)}")
+    low = 0.0 if positive else -np.inf
+    if not all(low < v < np.inf for v in vals):
+        raise ProblemSpecError(f"{what} must be finite" + " and strictly positive" * positive)
+    return vals
+
+
 def as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and convert ``x`` to a 1-D float64 array with finite entries."""
     v = np.asarray(x, dtype=np.float64)
@@ -426,12 +443,8 @@ class SpectrumSpec:
             if self.lam_min is not None or self.lam_max is not None:
                 raise ProblemSpecError(
                     "give either explicit eigenvalues or a range, not both")
-            vals = tuple(float(v) for v in self.eigenvalues)
-            if not vals:
-                raise ProblemSpecError("eigenvalue list is empty")
-            if any(not np.isfinite(v) or v <= 0.0 for v in vals):
-                raise ProblemSpecError("eigenvalues must be finite and strictly positive")
-            object.__setattr__(self, "eigenvalues", vals)
+            object.__setattr__(self, "eigenvalues",
+                               _number_list(self.eigenvalues, "eigenvalues", positive=True))
             return
         if self.lam_min is None or self.lam_max is None:
             raise ProblemSpecError(
@@ -453,10 +466,7 @@ class SpectrumSpec:
         """Concrete sorted eigenvalue array of length ``n``."""
         _check_count(n, "n")
         if self.eigenvalues is not None:
-            if len(self.eigenvalues) != n:
-                raise ProblemSpecError(
-                    f"spec lists {len(self.eigenvalues)} eigenvalues, problem needs {n}")
-            return np.sort(np.asarray(self.eigenvalues, dtype=np.float64))
+            return np.sort(np.array(_number_list(self.eigenvalues, "eigenvalues", n=n)))
         lo, hi = float(self.lam_min), float(self.lam_max)
         if self.distribution == "loguniform":
             lams = np.exp(rng.uniform(np.log(lo), np.log(hi), n))

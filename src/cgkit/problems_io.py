@@ -24,7 +24,7 @@ from .cg import IterationTrace, QuadraticProblem, SolverConfig
 from .errors import (CgKitError, MatrixMarketError, NotPositiveDefiniteError,
                      ProblemSpecError)
 from .linalg import (MatrixSPD, SpectrumSpec, _check_count, _check_nonnegative,
-                     as_vector, generate_spd, spd_validate)
+                     _number_list, as_vector, generate_spd, spd_validate)
 from .verify import CheckResult, VerificationReport
 
 __all__ = [
@@ -91,30 +91,21 @@ class BuiltinProblemSpec:
         if self.family == "hilbert" and self.n > HILBERT_MAX_ORDER:
             raise ProblemSpecError(
                 f"hilbert problems are restricted to n <= {HILBERT_MAX_ORDER}")
-        if self.family == "diagonal":
-            if self.eigenvalues is None:
-                raise ProblemSpecError("diagonal problems need an eigenvalue list")
-            vals = tuple(float(v) for v in self.eigenvalues)
-            if len(vals) != self.n:
-                raise ProblemSpecError(
-                    f"diagonal problem of order {self.n} got {len(vals)} eigenvalues")
-            if not all(0.0 < v < math.inf for v in vals):
-                raise ProblemSpecError("diagonal entries must be finite and strictly positive")
-            object.__setattr__(self, "eigenvalues", vals)
+        if self.family == "diagonal" and self.eigenvalues is None:
+            raise ProblemSpecError("diagonal problems need an eigenvalue list")
+        if self.eigenvalues is not None:  # checked whether or not the family reads it
+            object.__setattr__(self, "eigenvalues", _number_list(
+                self.eigenvalues, "eigenvalues", n=self.n, positive=True))
         if self.family == "random_spd" and self.spectrum is None:
             raise ProblemSpecError("random_spd problems need a SpectrumSpec")
         if self.b_mode not in B_MODES:
             raise ProblemSpecError(
                 f"unknown b_mode {self.b_mode!r}; expected one of {B_MODES}")
-        if self.b_mode == "from_known_solution":
-            if self.known_solution is None:
-                raise ProblemSpecError("b_mode=from_known_solution needs known_solution")
-            sol = tuple(float(v) for v in self.known_solution)
-            if len(sol) != self.n:
-                raise ProblemSpecError("known_solution length must equal n")
-            if not all(map(math.isfinite, sol)):
-                raise ProblemSpecError("known_solution entries must be finite")
-            object.__setattr__(self, "known_solution", sol)
+        if self.b_mode == "from_known_solution" and self.known_solution is None:
+            raise ProblemSpecError("b_mode=from_known_solution needs known_solution")
+        if self.known_solution is not None:
+            object.__setattr__(self, "known_solution", _number_list(
+                self.known_solution, "known_solution entries", n=self.n))
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready description for trace metadata."""
@@ -235,15 +226,15 @@ def read_matrix_market(source) -> MatrixSPD:
     coordinate file declaring fewer entries than its order fails at once.
 
     ``scipy.io.mmread`` reads the entries after cgkit has checked the file
-    against the dialect it accepts: comment (``%``) and blank lines
-    anywhere, one entry per line (``row col value``, or one value for
-    array files), fields separated by spaces or tabs, each field a whole
-    number (an optional ``-``, digits with at most one ``.``, an optional
-    exponent; or inf, infinity, nan), and nothing after the declared
-    entries.  Entries are ASCII.  Malformed content raises
-    :class:`MatrixMarketError` with the 1-based line number; unsupported
-    fields (complex, pattern) and symmetries (skew-symmetric, hermitian)
-    are rejected the same way.
+    against the dialect it accepts: a size line of integers (an optional
+    ``-`` and ASCII digits), comment (``%``) and blank lines anywhere, one
+    entry per line (``row col value``, or one value for array files),
+    fields separated by spaces or tabs, each field a whole number (an
+    optional ``-``, digits with at most one ``.``, an optional exponent; or
+    inf, infinity, nan), and nothing after the declared entries.  Entries
+    are ASCII.  Malformed content raises :class:`MatrixMarketError` with
+    the 1-based line number; unsupported fields (complex, pattern) and
+    symmetries (skew-symmetric, hermitian) are rejected the same way.
     """
     matrix = _read_matrix(source)
     spd_validate(matrix)
@@ -273,10 +264,10 @@ def _read_entries(stream, fmt: str, symmetry: str):
         if not line:
             raise MatrixMarketError("missing size line", line=lineno)
         lineno += 1
-        size_parts = line.split()
-        if size_parts and not size_parts[0].startswith("%"):
+        text = line.strip()
+        if text and not text.startswith("%"):
             break
-    n, entries = _parse_size_line(size_parts, fmt, symmetry, lineno)
+    n, entries = _parse_size_line(text, fmt, symmetry, lineno)
 
     # SciPy is handed a canonical header and size line: a "real" field,
     # because it reads an integer field's "2.5" as 2.  Comment lines
@@ -286,7 +277,7 @@ def _read_entries(stream, fmt: str, symmetry: str):
     body = stream.read()
     if body and not body.endswith("\n"):
         body += "\n"
-    data = (head + body).encode("ascii", "replace")
+    data = (head + body).encode("utf-8", "surrogatepass")
     del body  # the file is held once, as bytes
     if data.find(b"%", len(head)) >= 0:
         data = _COMMENT_LINE.sub(b"\n", data)
@@ -307,6 +298,7 @@ def _read_entries(stream, fmt: str, symmetry: str):
 
 _COMMENT_LINE = re.compile(rb"\n[ \t\r]*%[^\n]*")
 _SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
+_WHOLE_NUMBER = re.compile(r"-?[0-9]+")
 # A field's shape, byte by byte: a digit is '0', a letter a number may hold
 # is folded to lower case, space, tab and CR separate fields, LF ends a
 # line, and any other byte is '?'.
@@ -348,9 +340,12 @@ def _parse_header(header: str) -> tuple[str, str]:
     return fmt, symmetry
 
 
-def _parse_size_line(parts, fmt, symmetry, lineno) -> tuple[int, int]:
-    """Order and number of entries.  Checked here, not by SciPy, which
-    kills the interpreter (SIGFPE) on an array file of order 0."""
+def _parse_size_line(text, fmt, symmetry, lineno) -> tuple[int, int]:
+    """Order and number of entries of the size line ``text``, each field a
+    whole number as an entry's index is: an optional ``-`` and ASCII
+    digits.  Checked here, not by SciPy, which kills the interpreter
+    (SIGFPE) on an array file of order 0."""
+    parts = text.split()
     layout = "rows cols nnz" if fmt == "coordinate" else "rows cols"
     if len(parts) != len(layout.split()):
         raise MatrixMarketError(f"{fmt} size line must be '{layout}'", line=lineno)
@@ -358,6 +353,8 @@ def _parse_size_line(parts, fmt, symmetry, lineno) -> tuple[int, int]:
         rows, cols, *nnz = (int(p) for p in parts)
     except ValueError as err:
         raise MatrixMarketError(f"bad size line: {err}", line=lineno) from None
+    if not all(map(_WHOLE_NUMBER.fullmatch, parts)):  # int also reads '+2' or '2_0'
+        raise MatrixMarketError(f"malformed number in {text!r}", line=lineno)
     if rows != cols:
         raise MatrixMarketError(f"matrix must be square, got {rows}x{cols}",
                                 line=lineno)
@@ -376,10 +373,11 @@ def _parse_size_line(parts, fmt, symmetry, lineno) -> tuple[int, int]:
 def _check_entries(body: np.ndarray, width: int, entries: int, first_line: int) -> None:
     """Reject the data lines SciPy would misread.
 
-    ``body`` is the text after the size line as bytes, ending in a newline,
-    with comment lines blank; its first line is line ``first_line``.  Each
-    non-blank line must hold ``width`` fields, each a number of one of the
-    ``_NUMBER_SHAPES``, and there must be ``entries`` such lines.  SciPy
+    ``body`` is the text after the size line as UTF-8 bytes, ending in a
+    newline, with comment lines blank; its first line is line
+    ``first_line``.  Each non-blank line must hold ``width`` fields, each a
+    number of one of the ``_NUMBER_SHAPES``, and there must be ``entries``
+    such lines; a malformed one is quoted as decoded.  SciPy
     ignores extra fields ("1 1 2.0 7"), reads a value by its longest number
     prefix ("2,5", "0.1-100", "1.2.3") and zero-fills a truncated array
     file.  The first offending line is reported.
@@ -420,7 +418,7 @@ def _check_entries(body: np.ndarray, width: int, entries: int, first_line: int) 
     malformed = odd[~np.isin(words, _NUMBER_SHAPES)]
     if malformed.size:
         line = np.searchsorted(newlines, starts[malformed[0]])
-        text = body.tobytes().split(b"\n")[line].strip().decode("ascii")
+        text = body.tobytes().split(b"\n")[line].strip().decode("utf-8", "surrogatepass")
         problems.append((line, f"malformed number in {text!r}"))
     data_lines = np.flatnonzero(fields)
     if data_lines.size > entries:
@@ -522,7 +520,7 @@ def read_vector_file(source) -> np.ndarray:
         body = "\n".join(text.replace("\n", "?") for text in lines) + "\n"
     entries = list(filter(None, lines))
     try:
-        _check_entries(np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8),
+        _check_entries(np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8),
                        1, len(entries), 1)
     except MatrixMarketError as err:
         try:

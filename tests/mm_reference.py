@@ -11,6 +11,7 @@ reader documents.  ``read_reference`` takes the file's text.
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import scipy.sparse as _sparse
@@ -55,6 +56,10 @@ def _parse_matrix_market(stream) -> MatrixSPD:
         if not text or text.startswith("%"):
             continue
         size_parts = text.split()
+        # the size line's fields are whole numbers, as an entry's indices
+        # are: int alone would also read '+2', '2_0' and other digits
+        if not all(re.fullmatch(r"-?[0-9]+", p) for p in size_parts):
+            raise MatrixMarketError(f"malformed number in {text!r}", line=lineno)
         break
 
     if fmt == "coordinate":

@@ -564,9 +564,9 @@ def test_builtin_without_its_size_is_an_error(tmp_path, capsys, command, source,
 
 @pytest.mark.parametrize("flags, message", [
     (("--builtin", "diagonal", "--eigs", "1,nan"),
-     "diagonal entries must be finite and strictly positive"),
+     "eigenvalues must be finite and strictly positive"),
     (("--builtin", "diagonal", "--eigs", "1,inf"),
-     "diagonal entries must be finite and strictly positive"),
+     "eigenvalues must be finite and strictly positive"),
     (("--builtin", "laplacian1d", "--n", "2", "--known-solution", "1,nan"),
      "known_solution entries must be finite"),
     (("--builtin", "diagonal", "--eigs", "1,2", "--known-solution=-inf,1"),
@@ -598,7 +598,7 @@ def test_typed_refusals(capsys, flags, message):
     # each field in a vector file's syntax, not in all that float reads
     ("--eigs", "1_0,+2,\u0661", "line 1: malformed number in '1_0'"),
     ("--eigs", "1,+2", "line 2: malformed number in '+2'"),
-    ("--eigs", "1,\u0661", "line 2: malformed number in '?'"),
+    ("--eigs", "1,\u0661", "line 2: malformed number in '\u0661'"),
     ("--known-solution", "1_0,1", "line 1: malformed number in '1_0'"),
     # a field that float refuses too is refused in its words, blank ones too
     ("--eigs", "1_0,x", "could not convert string to float: 'x'"),

@@ -847,7 +847,7 @@ _RANGE = SpectrumSpec(lam_min=1.0, lam_max=2.0)
      "dot operands must be 1-D and share one length"),
     (lambda: SpectrumSpec(eigenvalues=(1.0,), lam_min=1.0), ProblemSpecError,
      "give either explicit eigenvalues or a range, not both"),
-    (lambda: SpectrumSpec(eigenvalues=()), ProblemSpecError, "eigenvalue list is empty"),
+    (lambda: SpectrumSpec(eigenvalues=()), ProblemSpecError, "eigenvalues must not be empty"),
     (lambda: SpectrumSpec(lam_min=1.0, lam_max=np.inf), ProblemSpecError,
      "eigenvalue bounds must be finite"),
     (lambda: SpectrumSpec(lam_min=1.0, lam_max=2.0, distribution="clustered", clusters=0),

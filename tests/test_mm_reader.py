@@ -152,9 +152,14 @@ def same_verdict_mutations(draw, f):
         lines[0] = replace_field(lines[0], word, bad)
     elif kind == "size":
         i = f.size_index
-        change = draw(st.sampled_from(("float", "drop", "extra", "rectangular")))
+        change = draw(st.sampled_from(("float", "plus", "underscore", "drop", "extra",
+                                       "rectangular")))
         if change == "float":
             lines[i] = replace_field(lines[i], 0, f"{f.n}.0")
+        elif change == "plus":  # int reads '+n' and 'n_0': not a whole number here
+            lines[i] = replace_field(lines[i], 0, f"+{f.n}")
+        elif change == "underscore":
+            lines[i] = replace_field(lines[i], 1, f"{f.n}_0")
         elif change == "drop":
             lines[i] = " ".join(lines[i].split()[:-1])
         elif change == "extra":
@@ -330,6 +335,32 @@ class TestRegressions:
             read_new(COORD + "2 2 2\n1 1 2.0\n2 1 1.2.3\n")
         assert info.value.line == 4
 
+    @pytest.mark.parametrize("head, size", [
+        (COORD, "+2 2 2"), (COORD, "2_0 2_0 2"), (COORD, "2 2 0_2"),
+        (ARRAY, "+2 2"), (ARRAY, "2_0 2_0"), (ARRAY, "2 0_2")],
+        ids=["coordinate-plus", "coordinate-underscore", "coordinate-count-underscore",
+             "array-plus", "array-underscore", "array-columns-underscore"])
+    def test_size_line_fields_are_whole_numbers(self, head, size):
+        # int reads them as order 2, order 20, or 2 entries (columns)
+        body = "1 1 2.0\n2 2 2.0\n" if head == COORD else "2.0\n0\n0\n2.0\n"
+        with pytest.raises(MatrixMarketError) as info:
+            read_new(head + "% c\n" + size + "\n" + body)
+        assert str(info.value) == f"line 3: malformed number in {size!r}"
+
+    @pytest.mark.parametrize("head, size, message", [
+        (COORD, "2 2 2.0", "bad size line: invalid literal for int() with base 10: '2.0'"),
+        (ARRAY, "2 2.0", "bad size line: invalid literal for int() with base 10: '2.0'"),
+        (COORD, "-1 -1 3", "matrix order must be at least 1, got -1"),
+        (ARRAY, "-1 -1", "matrix order must be at least 1, got -1"),
+        (COORD, "2 3 4", "matrix must be square, got 2x3"),
+        (ARRAY, "2 3", "matrix must be square, got 2x3")],
+        ids=["coordinate-float", "array-float", "coordinate-negative", "array-negative",
+             "coordinate-rectangular", "array-rectangular"])
+    def test_size_line_refusals_keep_their_texts(self, head, size, message):
+        with pytest.raises(MatrixMarketError) as info:
+            read_new(head + size + "\n1\n")
+        assert str(info.value) == f"line 2: {message}"
+
     @pytest.mark.parametrize("index", ["1.0", "1e0", "inf", "1.2.3"])
     def test_index_fields_take_integers_only(self, index):
         with pytest.raises(MatrixMarketError) as info:
@@ -367,6 +398,38 @@ class TestNonAscii:
         with pytest.raises(MatrixMarketError) as info:
             read_matrix_market(path)
         assert info.value.line == 4
+
+    @pytest.mark.parametrize("entry, quoted", [
+        ("2.0\u00e9", "'1 1 2.0\u00e9'"),  # printable: the character itself
+        ("2.0\u200b", "'1 1 2.0\\u200b'"),  # not printable: its escape
+        ("2.0\ud800", "'1 1 2.0\\ud800'"),  # a lone surrogate
+    ], ids=["printable", "zero-width-space", "surrogate"])
+    def test_entry_in_a_text_stream_is_quoted_as_written(self, entry, quoted):
+        with pytest.raises(MatrixMarketError) as info:
+            read_new(COORD + "1 1 1\n1 1 " + entry + "\n")
+        assert str(info.value) == f"line 3: malformed number in {quoted}"
+
+    @pytest.mark.parametrize("encoding, replaced", [("utf-8", 2), ("latin-1", 1)])
+    def test_entry_in_a_file_is_quoted_as_read(self, tmp_path, encoding, replaced):
+        # each byte outside ASCII is read as U+FFFD, and quoted as that character
+        path = tmp_path / "a.mtx"
+        path.write_bytes(self.BAD.encode(encoding))
+        with pytest.raises(MatrixMarketError) as info:
+            read_matrix_market(path)
+        assert str(info.value) == ("line 4: malformed number in "
+                                   f"'1 1 2.0{chr(0xFFFD) * replaced}'")
+
+    def test_vector_entry_is_quoted_as_written(self, tmp_path):
+        # float reads an Arabic-Indic digit; the vector-file syntax does not
+        with pytest.raises(MatrixMarketError) as info:
+            read_vector_file(io.StringIO("1\n\u0661\n"))
+        assert str(info.value) == "line 2: malformed number in '\u0661'"
+        path = tmp_path / "b.txt"
+        path.write_bytes("1\n\u0661\n".encode())
+        with pytest.raises(MatrixMarketError) as info:
+            read_vector_file(path)
+        assert str(info.value) == ("line 2: bad vector entry: could not convert "
+                                   "string to float: '\ufffd\ufffd'")
 
     def test_vector_file(self, tmp_path):
         path = tmp_path / "b.txt"

@@ -151,9 +151,9 @@ class TestBuiltinProblems:
 
     @pytest.mark.parametrize("kw, message", [
         (dict(family="diagonal", eigenvalues=(1.0, math.nan)),
-         "diagonal entries must be finite and strictly positive"),
+         "eigenvalues must be finite and strictly positive"),
         (dict(family="diagonal", eigenvalues=(1.0, math.inf)),
-         "diagonal entries must be finite and strictly positive"),
+         "eigenvalues must be finite and strictly positive"),
         (dict(family="laplacian1d", b_mode="from_known_solution",
               known_solution=(math.nan, 1.0)), "known_solution entries must be finite"),
         (dict(family="laplacian1d", b_mode="from_known_solution",
@@ -843,9 +843,9 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
     (_spec(family="laplacian1d", n=0), ProblemSpecError,
      "n must be an integer of at least 1, got 0"),
     (_spec(family="diagonal", n=3, eigenvalues=(1.0, 2.0)), ProblemSpecError,
-     "diagonal problem of order 3 got 2 eigenvalues"),
+     "eigenvalues must number 3, got 2"),
     (_spec(family="diagonal", n=2, eigenvalues=(1.0, 0.0)), ProblemSpecError,
-     "diagonal entries must be finite and strictly positive"),
+     "eigenvalues must be finite and strictly positive"),
     (_spec(family="random_spd", n=2), ProblemSpecError,
      "random_spd problems need a SpectrumSpec"),
     (_spec(family="laplacian1d", n=2, b_mode="zeros"), ProblemSpecError,
@@ -853,7 +853,7 @@ _HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
     (_spec(family="laplacian1d", n=2, b_mode="from_known_solution"), ProblemSpecError,
      "b_mode=from_known_solution needs known_solution"),
     (_spec(family="laplacian1d", n=2, b_mode="from_known_solution", known_solution=(1.0,)),
-     ProblemSpecError, "known_solution length must equal n"),
+     ProblemSpecError, "known_solution entries must number 2, got 1"),
     (_read(""), MatrixMarketError, "line 1: empty input"),
     (_read(_HEADER + "% comment\n\n"), MatrixMarketError, "line 3: missing size line"),
     (_read(_HEADER + "2 2 -1\n"), MatrixMarketError, "line 2: negative entry count -1"),
@@ -880,3 +880,56 @@ def test_numpy_integer_counts_are_written_as_ints():
     meta = json.loads(stream.getvalue())["metadata"]
     assert (meta["problem"]["n"], meta["problem"]["spectrum"]["clusters"],
             meta["config"]["max_iterations"]) == (4, 2, 3)
+
+
+# Each site that reads a list of numbers: (build from the list, the name its
+# texts use, whether values must be positive, whether the length is n = 2).
+# The last two give lists to a spec whose family or b_mode does not read them.
+_LIST_SITES = {
+    "spectrum": (lambda v: SpectrumSpec(eigenvalues=v), "eigenvalues", True, False),
+    "materialize": (lambda v: SpectrumSpec(eigenvalues=v).materialize(
+        2, np.random.default_rng(0)), "eigenvalues", True, True),
+    "diagonal": (lambda v: BuiltinProblemSpec(family="diagonal", n=2, eigenvalues=v),
+                 "eigenvalues", True, True),
+    "known-solution": (lambda v: BuiltinProblemSpec(
+        family="laplacian1d", n=2, b_mode="from_known_solution", known_solution=v),
+        "known_solution entries", False, True),
+    "unread-eigenvalues": (lambda v: BuiltinProblemSpec(
+        family="laplacian1d", n=2, eigenvalues=v), "eigenvalues", True, True),
+    "unread-known-solution": (lambda v: BuiltinProblemSpec(
+        family="diagonal", n=2, eigenvalues=(1.0, 2.0), b_mode="random", known_solution=v),
+        "known_solution entries", False, True),
+}
+_BAD_LISTS = {  # (values, text after the name, needs positive, needs a length)
+    "empty": ((), "must not be empty", False, False),
+    "too-long": ((1.0, 2.0, 3.0), "must number 2, got 3", False, True),
+    "nan": ((1.0, math.nan), "must be finite", False, False),
+    "inf": ((math.inf, 1.0), "must be finite", False, False),
+    "minus-inf": ((1.0, -math.inf), "must be finite", False, False),
+    "zero": ((1.0, 0.0), "must be finite", True, False),
+    "negative": ((-1.0, 1.0), "must be finite", True, False),
+}
+
+
+@pytest.mark.parametrize("site, values, message", [
+    pytest.param(site, values, f"{what} {text}" + " and strictly positive" * (
+        positive and text == "must be finite"), id=f"{site}-{case}")
+    for site, (_, what, positive, sized) in _LIST_SITES.items()
+    for case, (values, text, needs_positive, needs_length) in _BAD_LISTS.items()
+    if (positive or not needs_positive) and (sized or not needs_length)])
+def test_number_lists_take_one_check(site, values, message):
+    assert_refused(lambda: _LIST_SITES[site][0](values), ProblemSpecError, message)
+
+
+def test_number_lists_are_stored_as_python_floats():
+    spec = BuiltinProblemSpec(family="diagonal", n=2, eigenvalues=np.array([2, 1]),
+                              b_mode="from_known_solution",
+                              known_solution=[np.float32(0.5), 1])
+    spectrum = SpectrumSpec(eigenvalues=[np.int64(3), 1.5])
+    for stored in (spec.eigenvalues, spec.known_solution, spectrum.eigenvalues):
+        assert type(stored) is tuple and {type(v) for v in stored} == {float}
+    assert json.dumps(spec.describe()) == (
+        '{"family": "diagonal", "n": 2, "eigenvalues": [2.0, 1.0], '
+        '"b_mode": "from_known_solution", "known_solution": [0.5, 1.0]}')
+    lams = spectrum.materialize(2, np.random.default_rng(0))
+    assert lams.dtype == np.float64 and lams.tolist() == [1.5, 3.0]

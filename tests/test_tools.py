@@ -81,6 +81,7 @@ def test_gate_names_the_json_members_that_differ():
     ("solve-builtin-without-n", [], 1, b"error: --builtin hilbert requires --n\n"),
     ("verify-diagonal-number-forms", [b"report written to out.json\n", b"overall: PASS"],
      0, b""),
+    ("verify-matrix-array", [b"report written to out.json\n", b"overall: PASS"], 0, b""),
 ])
 def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, code,
                                           stderr):
@@ -100,6 +101,9 @@ def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, 
     elif name == "verify-diagonal-number-forms":
         problem = json.loads(written[0])["metadata"]["problem"]
         assert problem["eigenvalues"] == [1.0, 2.0, 0.5, 0.4, 3.0]
+    elif name == "verify-matrix-array":  # both triangles, from the lower one
+        assert json.loads(written[0])["metadata"]["problem"] == {
+            "matrix": "S.mtx", "n": 3, "storage": "dense"}
     else:
         assert written == ()
 

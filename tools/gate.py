@@ -14,9 +14,9 @@ and exit codes are compared byte for byte; where an output file differs
 and both sides parse as JSON, the first paths at which they differ are
 printed too.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``), ``P.mtx``
-(``shuffled_path_mtx``), ``T.mtx`` (``TINY_MTX``) and ``b.txt``
-(``grid_b_txt``), the files that the ``--matrix`` and ``--b-file``
-commands read.
+(``shuffled_path_mtx``), ``T.mtx`` (``TINY_MTX``), ``S.mtx``
+(``SMALL_ARRAY_MTX``) and ``b.txt`` (``grid_b_txt``), the files that the
+``--matrix`` and ``--b-file`` commands read.
 Exit status: 0 when every command agrees, 1 otherwise.
 """
 
@@ -115,12 +115,20 @@ COMMANDS = (
     # each number form that a comma-separated list takes, read to its bits
     ("verify-diagonal-number-forms", ["verify", "--builtin", "diagonal", "--eigs",
                                       "1e0,2.,.5,4E-1,3"], "out.json"),
+    # the MatrixMarket array reader, on a symmetric file with a comment line
+    ("verify-matrix-array", ["verify", "--matrix", "S.mtx"], "out.json"),
 )
 
 
 # the 1 x 1 matrix [1e-305]: SPD, but every stepsize denominator of its
 # first step is below EPS_DENOMINATOR, so each rule breaks down there
 TINY_MTX = "%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1e-305\n"
+
+# the SPD matrix [[4, -1, 0.5], [-1, 3, -1], [0.5, -1, 2]] as a symmetric
+# array file: the lower triangle of each column, column by column
+SMALL_ARRAY_MTX = ("%%MatrixMarket matrix array real symmetric\n"
+                   "% lower triangle, column-major\n"
+                   "3 3\n4\n-1\n0.5\n3\n-1\n2\n")
 
 
 def grid_general_mtx() -> str:
@@ -183,6 +191,7 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
         (cwd / "A.mtx").write_text(grid_general_mtx())
         (cwd / "P.mtx").write_text(shuffled_path_mtx())
         (cwd / "T.mtx").write_text(TINY_MTX)
+        (cwd / "S.mtx").write_text(SMALL_ARRAY_MTX)
         (cwd / "b.txt").write_bytes(grid_b_txt().encode())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args], cwd=cwd, capture_output=True,

@@ -103,8 +103,8 @@ class QuadraticProblem:
     """SPD quadratic ``f(x) = 0.5 x.T A x + b.T x``.
 
     Construction validates dimensions, keeps a read-only copy of ``b`` (the
-    caller's array stays writeable) and factors ``A`` once: the Cholesky
-    factor of :func:`~cgkit.linalg.spd_validate` certifies ``A`` and gives
+    caller's array stays writeable) and factors ``A`` once: the factor of
+    :func:`~cgkit.linalg.spd_validate` certifies ``A`` and gives
     the unique minimizer, the solution of ``A x = -b``, which is kept
     read-only (``n`` floats) while the factor is dropped.
     """
@@ -139,10 +139,11 @@ class QuadraticProblem:
     def direct_solution(self) -> np.ndarray:
         """Minimizer from the direct solve of ``A x = -b`` made at
         construction (oracle route: NumPy's dense Cholesky and blocked
-        substitution, or for CSR storage SciPy's banded Cholesky after RCM
-        ordering unless the matrix's own order already has the narrowest
-        possible band), read-only; it equals ``solve_direct(A, -b)`` bit for
-        bit and costs no factorization."""
+        substitution; for CSR storage LAPACK's SPD tridiagonal L D Lᵀ when
+        ``A`` is tridiagonal in its own order, else SciPy's banded Cholesky
+        after RCM ordering unless the matrix's own order already has the
+        narrowest possible band), read-only; it equals
+        ``solve_direct(A, -b)`` bit for bit and costs no factorization."""
         return self._x_star
 
     def __repr__(self) -> str:

@@ -27,8 +27,9 @@ class SymmetryError(CgKitError, ValueError):
 
 
 class NotPositiveDefiniteError(CgKitError, ValueError):
-    """Cholesky factorization found a non-positive diagonal entry or pivot,
-    or a file declares too few entries to hold an SPD matrix's diagonal."""
+    """Cholesky or L D Lᵀ factorization found a non-positive diagonal entry
+    or pivot, or a file declares too few entries to hold an SPD matrix's
+    diagonal."""
 
 
 class ProblemSpecError(CgKitError, ValueError):

@@ -4,14 +4,15 @@
 both triangles stored).  Symmetry is enforced at construction; positive
 definiteness is certified separately by :func:`spd_validate`, so the type
 can hold a symmetric candidate that validation then rejects.  The direct-solve
-oracle shares its Cholesky routine, which factors CSR storage as a band after
-reverse Cuthill-McKee (RCM) ordering (George & Liu, 1981), unless the
-matrix's own order already has the narrowest possible band; a problem's
-certificate and its minimizer come from one factor.
+oracle shares its factorization routine: a CSR matrix that is tridiagonal in
+its own order gets LAPACK's O(n) SPD tridiagonal LDLᵀ, and any other is
+factored as a band after reverse Cuthill-McKee (RCM) ordering (George & Liu,
+1981), unless the matrix's own order already has the narrowest possible band;
+a problem's certificate and its minimizer come from one factor.
 
 SciPy is imported only by the CSR paths that need it (the sparse container,
-the banded factor and its solve, and the RCM ordering): dense storage is
-built, certified and solved with NumPy alone.
+the tridiagonal and banded factors and their solves, and the RCM ordering):
+dense storage is built, certified and solved with NumPy alone.
 """
 
 from __future__ import annotations
@@ -258,50 +259,77 @@ def matvec(a: MatrixSPD, x) -> np.ndarray:
 
 
 def spd_validate(a) -> None:
-    """Certify that ``a`` is symmetric positive definite by a Cholesky
-    factorization whose every pivot clears the relative test of
-    ``_cholesky``, or raise: ``SymmetryError`` for asymmetric input,
-    ``NotPositiveDefiniteError`` when the factorization fails or a pivot is
-    too small, and ``CgKitError`` when the band of a CSR matrix would exceed
-    ``BAND_BUDGET``.  The certificate is the absence of an error; the
-    factor is dropped."""
+    """Certify that ``a`` is symmetric positive definite by a Cholesky or,
+    for a CSR matrix tridiagonal in its own order, an LDLᵀ factorization
+    whose every pivot clears the relative test of ``_cholesky``, or raise:
+    ``SymmetryError`` for asymmetric input, ``NotPositiveDefiniteError``
+    when the factorization fails or a pivot is too small, and ``CgKitError``
+    when the band of a CSR matrix would exceed ``BAND_BUDGET``.  The
+    certificate is the absence of an error; the factor is dropped."""
     _cholesky(_matrix(a))
 
 
-def _cholesky(m: MatrixSPD) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lower Cholesky factor of ``m`` and the order ``perm`` it factors in:
-    NumPy's full factor for dense storage (``perm`` None); for CSR storage,
-    after an O(nnz) check of the diagonal, LAPACK's banded factor of ``m``
-    in RCM ordering (row i is row ``perm[i]`` of ``m``), unless the
-    matrix's own order already has the narrowest possible band (``perm``
-    None; see :func:`_lower_band`).
+def _cholesky(m: MatrixSPD) -> tuple[np.ndarray | tuple[np.ndarray, np.ndarray],
+                                     np.ndarray | None]:
+    """Factor of ``m`` and the order ``perm`` it factors in: NumPy's full
+    lower Cholesky factor for dense storage (``perm`` None).  For CSR
+    storage, after an O(nnz) check of the diagonal:
 
-    A pivot ``L_ii**2`` at most ``k * eps * a_ii`` is refused as singular
-    to working precision, with ``k`` the number of terms in its sum: the
-    order for dense storage, the band width for CSR (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 10)."""
+    * a matrix of order n >= 2 whose every row i stores columns in
+      i - 1..i + 1 only (read from the first column of each sorted row, as
+      the stored pattern is symmetric): LAPACK's SPD tridiagonal factor
+      ``dpttrf``, the pair ``(d, e)`` of L D Lᵀ with unit lower bidiagonal
+      L, in O(n) and in the own order (``perm`` None);
+    * any other: LAPACK's lower banded Cholesky factor of ``m`` in RCM
+      ordering (row i is row ``perm[i]`` of ``m``), unless the matrix's own
+      order already has the narrowest possible band (``perm`` None; see
+      :func:`_lower_band`).
+
+    A pivot (``L_ii**2``, or ``d_i`` of L D Lᵀ) at most
+    ``k * eps * a_ii`` is refused as singular to working precision, with
+    ``k`` the number of terms in its sum: the order for dense storage, the
+    band width for CSR (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10)."""
     if m.is_dense:
         try:
             factor = np.linalg.cholesky(m._a)
         except np.linalg.LinAlgError as err:
             raise NotPositiveDefiniteError(
                 f"Cholesky factorization failed: {err}") from err
-        _check_pivots(np.diagonal(factor), np.diagonal(m._a), m.n, None)
+        _check_pivots(np.square(np.diagonal(factor)), np.diagonal(m._a), m.n, None)
         return factor, None
 
-    from scipy.linalg import cholesky_banded
-
-    diag = m._a.diagonal()
+    a = m._a
+    diag = a.diagonal()
     if not np.all(diag > 0.0):
         i = int(np.argmin(diag > 0.0))
         raise NotPositiveDefiniteError(f"diagonal entry {i} is {diag[i]:.3e} <= 0")
-    band, perm = _lower_band(m._a)
+    ptr, cols = a.indptr, a.indices
+    rows = np.arange(m.n, dtype=cols.dtype)
+    # rows are sorted, so each row's first column is its least; no entry
+    # (i, j) with j < i - 1 means, by symmetry, none with j > i + 1 either
+    if m.n >= 2 and (cols[ptr[:-1]] >= rows - 1).all():
+        from scipy.linalg.lapack import dpttrf
+
+        first = ptr[1:-1]  # row i + 1 opens with (i + 1, i) when it is stored
+        sub = np.where(cols[first] == rows[:-1], a.data[first], 0.0)
+        d, e, info = dpttrf(diag, sub, overwrite_e=True)
+        if info > 0:
+            raise NotPositiveDefiniteError("banded Cholesky factorization failed: "
+                                           f"{info}-th leading minor not positive definite")
+        _check_pivots(d, diag, 2, None)
+        return (d, e), None
+
+    from scipy.linalg import cholesky_banded
+
+    band, perm = _lower_band(a)
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefiniteError(
             f"banded Cholesky factorization failed: {err}") from err
-    _check_pivots(factor[0], diag if perm is None else diag[perm], factor.shape[0], perm)
+    _check_pivots(np.square(factor[0]), diag if perm is None else diag[perm],
+                  factor.shape[0], perm)
     return factor, perm
 
 
@@ -357,17 +385,18 @@ def _lower_band(a) -> tuple[np.ndarray, np.ndarray | None]:
     return band, perm
 
 
-def _check_pivots(root: np.ndarray, diag: np.ndarray, terms: int,
+def _check_pivots(pivots: np.ndarray, diag: np.ndarray, terms: int,
                   perm: np.ndarray | None) -> None:
-    """Refuse the first pivot ``root[i]**2 <= terms * eps * diag[i]``,
-    named by its row of the unpermuted matrix."""
+    """Refuse the first pivot ``pivots[i] <= terms * eps * diag[i]``, named
+    by its row of the unpermuted matrix; a pivot is ``L_ii**2`` of a
+    Cholesky factor or ``d_i`` of an L D Lᵀ one."""
     bound = terms * np.finfo(np.float64).eps * diag
-    small = root * root <= bound
+    small = pivots <= bound
     if small.any():
         i = int(np.argmax(small))
         row = i if perm is None else int(perm[i])
         raise NotPositiveDefiniteError(
-            f"Cholesky pivot of row {row} is {root[i] ** 2:.3e}, not above "
+            f"Cholesky pivot of row {row} is {pivots[i]:.3e}, not above "
             f"{terms} * eps * A[{row}, {row}] = {bound[i]:.3e}: "
             f"singular to working precision")
 
@@ -396,13 +425,18 @@ def _certified_solve(m: MatrixSPD, rhs: np.ndarray) -> np.ndarray:
     """The solution of ``m x = rhs`` from the ``_cholesky`` factor that
     certifies ``m`` as :func:`spd_validate` does (with its errors), which
     is then dropped.  A dense factor is solved by NumPy's blocked
-    substitution (:func:`_substitute`), with no SciPy import.  A banded
+    substitution (:func:`_substitute`), with no SciPy import.  A tridiagonal
+    L D Lᵀ factor is solved by LAPACK's ``dpttrs`` in O(n).  A banded
     factor is solved by SciPy's ``cho_solve_banded`` in its order: RCM
     ordering, undone by two gathers, unless the matrix's own order already
     has the narrowest possible band, which needs none."""
     factor, perm = _cholesky(m)
     if m.is_dense:
         return _substitute(factor, rhs)
+    if isinstance(factor, tuple):
+        from scipy.linalg.lapack import dpttrs
+
+        return dpttrs(*factor, rhs)[0]
     from scipy.linalg import cho_solve_banded
 
     if perm is None:

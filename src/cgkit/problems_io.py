@@ -264,10 +264,10 @@ def _read_entries(stream, fmt: str, symmetry: str):
         if not line:
             raise MatrixMarketError("missing size line", line=lineno)
         lineno += 1
-        text = line.strip()
-        if text and not text.startswith("%"):
+        fields = _FIELD.findall(line)
+        if fields and not fields[0].startswith("%"):
             break
-    n, entries = _parse_size_line(text, fmt, symmetry, lineno)
+    n, entries = _parse_size_line(line.strip(_SEPARATORS), fmt, symmetry, lineno)
 
     # SciPy is handed a canonical header and size line: a "real" field,
     # because it reads an integer field's "2.5" as 2.  Comment lines
@@ -296,6 +296,10 @@ def _read_entries(stream, fmt: str, symmetry: str):
     return n, parsed
 
 
+# The separators of fields on every line, as an entry line takes them: a
+# line of nothing else is blank, and any other character is part of a field.
+_SEPARATORS = " \t\r\n"
+_FIELD = re.compile(f"[^{_SEPARATORS}]+")
 _COMMENT_LINE = re.compile(rb"\n[ \t\r]*%[^\n]*")
 _SCIPY_LINE = re.compile(r"Line (\d+): (.*)", re.DOTALL)
 _WHOLE_NUMBER = re.compile(r"-?[0-9]+")
@@ -323,7 +327,7 @@ _NUMBER_SHAPES = np.array(
 def _parse_header(header: str) -> tuple[str, str]:
     if not header:
         raise MatrixMarketError("empty input", line=1)
-    parts = header.strip().split()
+    parts = _FIELD.findall(header)
     if len(parts) != 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
         raise MatrixMarketError(
             "header must read '%%MatrixMarket matrix <format> <field> <symmetry>'",
@@ -341,11 +345,12 @@ def _parse_header(header: str) -> tuple[str, str]:
 
 
 def _parse_size_line(text, fmt, symmetry, lineno) -> tuple[int, int]:
-    """Order and number of entries of the size line ``text``, each field a
-    whole number as an entry's index is: an optional ``-`` and ASCII
-    digits.  Checked here, not by SciPy, which kills the interpreter
-    (SIGFPE) on an array file of order 0."""
-    parts = text.split()
+    """Order and number of entries of the size line ``text``, its fields
+    split at an entry's separators (space, tab, CR) and each a whole number
+    as an entry's index is: an optional ``-`` and ASCII digits.  Checked
+    here, not by SciPy, which kills the interpreter (SIGFPE) on an array
+    file of order 0."""
+    parts = _FIELD.findall(text)
     layout = "rows cols nnz" if fmt == "coordinate" else "rows cols"
     if len(parts) != len(layout.split()):
         raise MatrixMarketError(f"{fmt} size line must be '{layout}'", line=lineno)

@@ -30,7 +30,7 @@ def _parse_matrix_market(stream) -> MatrixSPD:
     header = stream.readline()
     if not header:
         raise MatrixMarketError("empty input", line=1)
-    parts = header.strip().split()
+    parts = _fields(header)
     if len(parts) != 5 or parts[0] != "%%MatrixMarket" or parts[1].lower() != "matrix":
         raise MatrixMarketError(
             "header must read '%%MatrixMarket matrix <format> <field> <symmetry>'",
@@ -52,19 +52,26 @@ def _parse_matrix_market(stream) -> MatrixSPD:
         if not line:
             raise MatrixMarketError("missing size line", line=lineno)
         lineno += 1
-        text = line.strip()
-        if not text or text.startswith("%"):
+        size_parts = _fields(line)
+        if not size_parts or size_parts[0].startswith("%"):
             continue
-        size_parts = text.split()
         # the size line's fields are whole numbers, as an entry's indices
         # are: int alone would also read '+2', '2_0' and other digits
         if not all(re.fullmatch(r"-?[0-9]+", p) for p in size_parts):
+            text = line.strip(" \t\r\n")
             raise MatrixMarketError(f"malformed number in {text!r}", line=lineno)
         break
 
     if fmt == "coordinate":
         return _parse_coordinate(stream, size_parts, symmetry, lineno)
     return _parse_array(stream, size_parts, symmetry, lineno)
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of a header or size line, split at an entry's separators
+    only (space, tab, CR): any other character, U+00A0 or U+3000 too, is
+    part of a field."""
+    return re.findall(r"[^ \t\r\n]+", line)
 
 
 def _parse_coordinate(stream, size_parts, symmetry, lineno) -> MatrixSPD:

@@ -624,6 +624,24 @@ def _minimizer(factor, perm, b) -> np.ndarray:
     return x
 
 
+def _own_order_tridiagonal(a) -> bool:
+    """Whether the CSR matrix ``a`` of order n >= 2 stores entries within
+    one place of the diagonal only, by every entry's distance from it."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return a.shape[0] >= 2 and int(np.abs(rows - a.indices).max()) <= 1
+
+
+def _tridiagonal_oracle(band, b) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """LAPACK's L D Lᵀ factor ``(d, e)`` of the own-order lower band
+    ``band`` (one or two rows), and ``-A^{-1} b`` by
+    ``scipy.linalg.solveh_banded`` on its two-row lower band."""
+    two = np.zeros((2, band.shape[1]), order="F")
+    two[:band.shape[0]] = band
+    d, e, info = scipy.linalg.lapack.dpttrf(two[0], two[1, :-1])
+    assert info == 0
+    return (d, e), scipy.linalg.solveh_banded(two, -b, lower=True)
+
+
 BAND_INPUTS = ("exactly symmetric", "symmetrized", "diagonal", "order 1", "components")
 
 
@@ -685,10 +703,15 @@ class TestBandAssembly:
         assert band.tobytes() == expected.tobytes()
 
         factor, perm = _cholesky(m)
-        oracle = scipy.linalg.cholesky_banded(expected, lower=True)
-        assert factor.shape == oracle.shape and factor.tobytes() == oracle.tobytes()
         b = np.random.default_rng(seed).standard_normal(m.n)
-        x = _minimizer(oracle, expected_perm, b)
+        if _own_order_tridiagonal(m._a):  # diagonal and small-n draws: L D Lᵀ
+            (d, e), x = _tridiagonal_oracle(expected, b)
+            assert perm is None and isinstance(factor, tuple)
+            assert [f.tobytes() for f in factor] == [d.tobytes(), e.tobytes()]
+        else:
+            oracle = scipy.linalg.cholesky_banded(expected, lower=True)
+            assert factor.shape == oracle.shape and factor.tobytes() == oracle.tobytes()
+            x = _minimizer(oracle, expected_perm, b)
         assert QuadraticProblem(m, b).direct_solution().tobytes() == x.tobytes()
 
     @settings(max_examples=150, deadline=None)
@@ -803,8 +826,84 @@ class TestOwnOrder:
         x = problem.direct_solution()
         assert solve_direct(problem.A, -problem.b).tobytes() == x.tobytes()
         band = np.array([np.full(5000, 2.0), np.r_[-np.ones(4999), 0.0]], order="F")
-        factor = scipy.linalg.cholesky_banded(band, lower=True)
-        assert _minimizer(factor, None, problem.b).tobytes() == x.tobytes()
+        assert _tridiagonal_oracle(band, problem.b)[1].tobytes() == x.tobytes()
+
+
+@st.composite
+def tridiagonal_csr(draw):
+    """A symmetric tridiagonal CSR matrix of order 2-60 in its own order,
+    with a positive diagonal and about a third of its subdiagonal entries
+    not stored, and whether it is SPD:
+
+    * SPD: each diagonal entry exceeds the magnitudes of its row's
+      off-diagonal entries;
+    * indefinite: one subdiagonal pair (k + 1, k) is stored with a magnitude
+      above sqrt(d_k d_{k+1}), so that the 2 x 2 principal minor on rows k
+      and k + 1 is negative.
+    """
+    spd = draw(st.booleans())
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sub = rng.uniform(-1.0, 1.0, n - 1)
+    stored = rng.random(n - 1) >= 0.3
+    if spd:
+        diag = np.r_[0.0, np.abs(sub * stored)] + np.r_[np.abs(sub * stored), 0.0]
+        diag += rng.uniform(0.5, 2.0, n)
+    else:
+        diag = rng.uniform(0.1, 2.0, n)
+        k = draw(st.integers(0, n - 2))
+        stored[k] = True
+        sub[k] = rng.choice([-1.0, 1.0]) * np.sqrt(diag[k] * diag[k + 1]) * rng.uniform(1.01, 3.0)
+    lower = np.flatnonzero(stored)
+    rows = np.r_[np.arange(n), lower + 1, lower]
+    cols = np.r_[np.arange(n), lower, lower + 1]
+    vals = np.r_[diag, sub[lower], sub[lower]]
+    return spd, sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
+class TestTridiagonalFactor:
+    """A CSR matrix tridiagonal in its own order is certified and solved by
+    LAPACK's SPD tridiagonal L D Lᵀ, with the verdicts of the band
+    Cholesky and the bits of ``scipy.linalg.solveh_banded``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tridiagonal_csr(), seed=st.integers(0, 2**32 - 1))
+    def test_verdict_and_minimizer_equal_the_band_oracles(self, case, seed):
+        from cgkit.linalg import _cholesky
+
+        spd, a = case
+        m = _csr(a)
+        band = _masked_band(m._a)[0]
+        try:
+            scipy.linalg.cholesky_banded(band, lower=True)
+        except np.linalg.LinAlgError as err:
+            assert not spd
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                spd_validate(m)
+            assert str(info.value) == f"banded Cholesky factorization failed: {err}"
+            return
+        assert spd
+        assert spd_validate(m) is None
+        b = np.random.default_rng(seed).standard_normal(m.n)
+        (d, e), x = _tridiagonal_oracle(band, b)
+        factor, perm = _cholesky(m)
+        assert perm is None and [f.tobytes() for f in factor] == [d.tobytes(), e.tobytes()]
+        assert QuadraticProblem(m, b).direct_solution().tobytes() == x.tobytes()
+        assert solve_direct(m, -b).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: MatrixSPD.from_csr([0, 1], [0], [3.0], 1),
+        lambda: _csr(_shuffled_path(300, seed=5)),
+    ], ids=["order-1", "shuffled-path"])
+    def test_order_1_and_other_orders_keep_the_band_factor(self, build):
+        from cgkit.linalg import _cholesky
+
+        m = build()
+        expected, expected_perm = _masked_band(m._a)
+        factor, perm = _cholesky(m)
+        assert isinstance(factor, np.ndarray) and (perm is None) == (m.n == 1)
+        np.testing.assert_array_equal(perm, expected_perm)
+        assert factor.tobytes() == scipy.linalg.cholesky_banded(expected, lower=True).tobytes()
 
 
 class TestMatmat:

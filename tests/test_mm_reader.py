@@ -153,7 +153,7 @@ def same_verdict_mutations(draw, f):
     elif kind == "size":
         i = f.size_index
         change = draw(st.sampled_from(("float", "plus", "underscore", "drop", "extra",
-                                       "rectangular")))
+                                       "rectangular", "ideographic-space")))
         if change == "float":
             lines[i] = replace_field(lines[i], 0, f"{f.n}.0")
         elif change == "plus":  # int reads '+n' and 'n_0': not a whole number here
@@ -164,6 +164,8 @@ def same_verdict_mutations(draw, f):
             lines[i] = " ".join(lines[i].split()[:-1])
         elif change == "extra":
             lines[i] += " 1"
+        elif change == "ideographic-space":  # not an entry's separator: one field
+            lines[i] = "\u3000".join(lines[i].split())
         else:
             lines[i] = replace_field(lines[i], 1, str(f.n + 1))
     elif kind == "comment":
@@ -360,6 +362,47 @@ class TestRegressions:
         with pytest.raises(MatrixMarketError) as info:
             read_new(head + size + "\n1\n")
         assert str(info.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize("separator", ["\u3000", "\u00a0", "\x0c"],
+                             ids=["ideographic-space", "no-break-space", "form-feed"])
+    @pytest.mark.parametrize("head, size, entry", [
+        (COORD, "1 1{}1", "1 1{}2.0"), (ARRAY, "1{}1", "2.0{}")],
+        ids=["coordinate", "array"])
+    def test_size_line_splits_at_an_entry_s_separators_only(self, separator, head, size,
+                                                            entry):
+        # str.split would read '1 1\u30001' as three fields; the same bytes
+        # in an entry line are refused there too (the reference reads them)
+        size, entry = size.format(separator), entry.format(separator)
+        text = head + "% c\n" + size + "\n" + entry + "\n"
+        assert outcome(read_reference, text)[1:] == (MatrixMarketError, 3)
+        for text, line in ((text, 3), (head + "% c\n" + size.replace(separator, " ")
+                                       + "\n" + entry + "\n", 4)):
+            with pytest.raises(MatrixMarketError) as info:
+                read_new(text)
+            assert info.value.line == line
+        with pytest.raises(MatrixMarketError) as info:
+            read_new(head + size + "\n")
+        layout = "rows cols nnz" if head == COORD else "rows cols"
+        assert str(info.value) == f"line 2: {head.split()[2]} size line must be '{layout}'"
+
+    def test_header_splits_at_an_entry_s_separators_only(self):
+        text = COORD.replace(" ", "\u00a0", 1) + "1 1 1\n1 1 2.0\n"
+        assert outcome(read_reference, text)[1:] == (MatrixMarketError, 1)
+        with pytest.raises(MatrixMarketError, match="^line 1: header must read"):
+            read_new(text)
+
+    @pytest.mark.parametrize("blank", ["\u00a0", " \u3000\t"],
+                             ids=["no-break-space", "ideographic-space"])
+    def test_a_line_of_other_spaces_is_not_blank(self, blank):
+        # refused before the size line as after it, where it is an entry
+        for text, line in ((COORD + blank + "\n1 1 1\n1 1 2.0\n", 2),
+                           (COORD + "1 1 1\n" + blank + "\n1 1 2.0\n", 3)):
+            with pytest.raises(MatrixMarketError) as info:
+                read_new(text)
+            assert info.value.line == line
+        assert outcome(read_reference, COORD + blank + "\n1 1 1\n1 1 2.0\n")[1:] == (
+            MatrixMarketError, 2)
+        assert read_new(COORD + " \t\r\n1 1 1\n1 1 2.0\n").to_dense().tolist() == [[2.0]]
 
     @pytest.mark.parametrize("index", ["1.0", "1e0", "inf", "1.2.3"])
     def test_index_fields_take_integers_only(self, index):

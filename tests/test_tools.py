@@ -82,6 +82,8 @@ def test_gate_names_the_json_members_that_differ():
     ("verify-diagonal-number-forms", [b"report written to out.json\n", b"overall: PASS"],
      0, b""),
     ("verify-matrix-array", [b"report written to out.json\n", b"overall: PASS"], 0, b""),
+    ("verify-matrix-tridiagonal", [b"report written to out.json\n", b"overall: PASS"], 0,
+     b""),
 ])
 def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, code,
                                           stderr):
@@ -104,8 +106,35 @@ def test_gate_commands_of_the_cli_options(tmp_path, monkeypatch, name, printed, 
     elif name == "verify-matrix-array":  # both triangles, from the lower one
         assert json.loads(written[0])["metadata"]["problem"] == {
             "matrix": "S.mtx", "n": 3, "storage": "dense"}
+    elif name == "verify-matrix-tridiagonal":
+        assert json.loads(written[0])["metadata"]["problem"] == {
+            "matrix": "Q.mtx", "n": 50, "storage": "csr"}
     else:
         assert written == ()
+
+
+def test_gate_tridiagonal_file_is_tridiagonal_in_its_own_order():
+    from cgkit.problems_io import read_matrix_market
+
+    m = read_matrix_market(io.StringIO(_load_tool("gate").tridiagonal_mtx()))
+    indptr, indices, _ = m.csr_arrays
+    offsets = np.repeat(np.arange(m.n), np.diff(indptr)) - indices
+    assert m.n == 50 and set(offsets.tolist()) == {-1, 0, 1}
+    assert np.count_nonzero(offsets == 1) == 42  # 7 of 49 subdiagonal entries left out
+
+
+def test_gate_children_run_on_one_blas_thread(tmp_path, monkeypatch):
+    # a tree whose cgkit prints the thread count its environment sets
+    gate = _load_tool("gate")
+    package = tmp_path / "tree" / "src" / "cgkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(
+        "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(gate, "COMMANDS", [("threads", ["solve"], ())])
+    (code, stdout, stderr, written), = gate.run(tmp_path / "tree", tmp_path / "runs").values()
+    assert (code, stdout, stderr, written) == (0, b"1\n", b"", ())
 
 
 def test_gate_reads_the_files_a_command_names_as_its_own(tmp_path, monkeypatch):

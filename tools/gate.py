@@ -14,9 +14,16 @@ and exit codes are compared byte for byte; where an output file differs
 and both sides parse as JSON, the first paths at which they differ are
 printed too.
 Each directory first gets ``A.mtx`` (``grid_general_mtx``), ``P.mtx``
-(``shuffled_path_mtx``), ``T.mtx`` (``TINY_MTX``), ``S.mtx``
-(``SMALL_ARRAY_MTX``) and ``b.txt`` (``grid_b_txt``), the files that the
-``--matrix`` and ``--b-file`` commands read.
+(``shuffled_path_mtx``), ``Q.mtx`` (``tridiagonal_mtx``), ``T.mtx``
+(``TINY_MTX``), ``S.mtx`` (``SMALL_ARRAY_MTX``) and ``b.txt``
+(``grid_b_txt``), the files that the ``--matrix`` and ``--b-file`` commands
+read.
+Every command runs with ``OPENBLAS_NUM_THREADS=1`` in its environment,
+whatever the caller's environment sets.  OpenBLAS splits a ``ddot`` of more
+than 10000 elements over its threads, which changes the last bits of the
+sum, so ``verify-laplacian-n20000`` would otherwise give the bits of the
+host's thread count; pinned, both trees and any two hosts compare like with
+like.
 Exit status: 0 when every command agrees, 1 otherwise.
 """
 
@@ -58,8 +65,9 @@ COMMANDS = (
                               "--include-vectors"], "out.json"),
     # its finite-termination residual reads the minimizer of the banded factor
     ("verify-matrix-general", ["verify", "--matrix", "A.mtx", "--b", "random"], "out.json"),
-    # above n = 10000, where OpenBLAS splits ddot over its threads; its
-    # document replays K recomputed CSR products
+    # above n = 10000, where OpenBLAS would split ddot over its threads
+    # were they not pinned to one; its document replays K recomputed CSR
+    # products
     ("verify-laplacian-n20000", ["verify", "--builtin", "laplacian1d", "--n", "20000",
                                  "--b", "random", "--max-iters", "60"], "out.json"),
     # a path whose own order is not the narrowest: reverse Cuthill-McKee
@@ -117,6 +125,10 @@ COMMANDS = (
                                       "1e0,2.,.5,4E-1,3"], "out.json"),
     # the MatrixMarket array reader, on a symmetric file with a comment line
     ("verify-matrix-array", ["verify", "--matrix", "S.mtx"], "out.json"),
+    # a tridiagonal matrix in its own order, some subdiagonal entries not
+    # stored: certified and solved by LAPACK's SPD tridiagonal L D Lᵀ
+    ("verify-matrix-tridiagonal", ["verify", "--matrix", "Q.mtx", "--b", "random"],
+     "out.json"),
 )
 
 
@@ -170,6 +182,19 @@ def shuffled_path_mtx() -> str:
                       f"{n} {n} {len(lines)}", *lines, ""])
 
 
+def tridiagonal_mtx() -> str:
+    """A 'symmetric' MatrixMarket file of a tridiagonal matrix of order 50
+    in its own order, diagonally dominant and so SPD: seeded diagonal
+    entries in [3, 4) and subdiagonal ones in [-1, 1], every seventh of
+    which is not stored."""
+    n = 50
+    rng = random.Random(1)
+    lines = [f"{i + 1} {i + 1} {3.0 + rng.random()!r}" for i in range(n)]
+    lines += [f"{i + 2} {i + 1} {rng.uniform(-1.0, 1.0)!r}" for i in range(n - 1) if i % 7 != 6]
+    return "\n".join(["%%MatrixMarket matrix coordinate real symmetric",
+                      f"{n} {n} {len(lines)}", *lines, ""])
+
+
 def extract(ref: str, dest: Path) -> None:
     """Write the files of commit ``ref`` into ``dest``, by ``git archive``."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
@@ -190,12 +215,13 @@ def run(tree: Path, workdir: Path) -> dict[str, tuple]:
         cwd.mkdir(parents=True)
         (cwd / "A.mtx").write_text(grid_general_mtx())
         (cwd / "P.mtx").write_text(shuffled_path_mtx())
+        (cwd / "Q.mtx").write_text(tridiagonal_mtx())
         (cwd / "T.mtx").write_text(TINY_MTX)
         (cwd / "S.mtx").write_text(SMALL_ARRAY_MTX)
         (cwd / "b.txt").write_bytes(grid_b_txt().encode())
         proc = subprocess.run(
             [sys.executable, "-m", "cgkit", *args], cwd=cwd, capture_output=True,
-            env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+            env=dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1"))
         written = tuple((cwd / output).read_bytes() if (cwd / output).exists() else None
                         for output in outputs)
         results[name] = (proc.returncode, proc.stdout, proc.stderr, written)
